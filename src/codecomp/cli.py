@@ -77,7 +77,9 @@ def cmd_train(args):
         params, report = trainer.train(emb, tc)
     except NumericError as exc:
         if exc.params is not None:
-            trainer.save_checkpoint(args.out, exc.params, cfg, 0)
+            # best_iteration is None when no validation was reached.
+            best = exc.report.best_iteration or 0
+            trainer.save_checkpoint(args.out, exc.params, cfg, best)
             log.error("kept last-good checkpoint at %s", args.out)
         raise
     iteration = report.best_iteration if report.best_iteration is not None else 0

@@ -14,10 +14,12 @@ Gumbel noise enters through the reparameterized soft assignment, so the
 gradient flows through the softmax rather than a straight-through estimator.
 
 All functions are dtype-generic: float32 parameters give the production
-path (64-bit accumulation, 32-bit storage), while float64 parameters give
-a high-precision shadow used by the finite-difference gradient tests.
+path (GEMMs accumulate in 64 bits and store 32; Adam updates in place in
+32 bits), while float64 parameters give a high-precision shadow used by the
+finite-difference gradient tests.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +50,8 @@ class SchemeConfig:
             raise ConfigError(f"K must be a power of 2 and >= 2, got {self.K}")
         if self.H < 1:
             raise ConfigError(f"H must be >= 1, got {self.H}")
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
+        if not math.isfinite(self.tau) or self.tau <= 0:
+            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
         if (self.M * self.K) % 2 != 0:
             raise ConfigError("M*K must be even (hidden width is M*K/2)")
 
@@ -116,10 +118,11 @@ class ForwardTrace:
 
 @dataclass
 class AdamState:
-    """Adam moment buffers and hyperparameters. Single-writer."""
+    """Adam moment buffers, per-group scratch and hyperparameters. Single-writer."""
 
     m: dict
     v: dict
+    work: dict
     t: int = 0
     lr: float = 1e-4
     beta1: float = 0.9
@@ -128,9 +131,11 @@ class AdamState:
 
 
 def new_adam_state(params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Zeroed moments and one scratch array per group, in the parameter dtype."""
     return AdamState(
         m={name: np.zeros_like(arr) for name, arr in params.items()},
         v={name: np.zeros_like(arr) for name, arr in params.items()},
+        work={name: np.empty_like(arr) for name, arr in params.items()},
         t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
     )
 
@@ -268,19 +273,30 @@ def backward(params, batch, noise, cfg, trace):
 def adam_step(params, grads, state):
     """One Adam update with bias correction, in place.
 
-    Moments and parameters are stored in the parameter dtype but the update
-    arithmetic runs in float64. eps sits outside the square root.
+    Moments, scratch and parameter arrays are updated in place in the
+    parameter dtype; the arrays bound to params stay the same objects. The
+    bias corrections fold into two Python floats per step, so they do not
+    widen the float32 loops. eps sits outside the square root:
+
+        p -= lr / (1 - beta1^t) * m / (sqrt(v) / sqrt(1 - beta2^t) + eps)
     """
     state.t += 1
     t = state.t
     b1, b2 = state.beta1, state.beta2
+    step = state.lr / (1.0 - b1 ** t)
+    v_scale = 1.0 / math.sqrt(1.0 - b2 ** t)
     for name, p in params.items():
-        g64 = grads[name].astype(np.float64)
-        m = state.m[name].astype(np.float64) * b1 + (1 - b1) * g64
-        v = state.v[name].astype(np.float64) * b2 + (1 - b2) * g64 ** 2
-        state.m[name] = m.astype(p.dtype)
-        state.v[name] = v.astype(p.dtype)
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        updated = p.astype(np.float64) - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        setattr(params, name, updated.astype(p.dtype))
+        g, m, v, work = grads[name], state.m[name], state.v[name], state.work[name]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=work)
+        m += work
+        v *= b2
+        np.multiply(g, g, out=work)
+        work *= 1.0 - b2
+        v += work
+        np.sqrt(v, out=work)
+        work *= v_scale
+        work += state.eps
+        np.divide(m, work, out=work)
+        work *= step
+        p -= work

@@ -8,6 +8,7 @@ bit-identical parameters on the same build, single-threaded.
 """
 
 import logging
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -45,6 +46,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not math.isfinite(self.lr) or self.lr <= 0:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 < self.val_fraction < 1:
+            raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.validate_every < 1:
             raise ConfigError(f"validate_every must be >= 1, got {self.validate_every}")
         # iterations = 0 is the degenerate "return the init" case; any positive
@@ -92,8 +97,9 @@ def train(emb, tc):
     zero noise and soft assignments; the parameters yielding the lowest
     validation loss seen so far are kept and returned. If training never
     reaches a validation checkpoint the final parameters are returned and
-    best_val_loss is None. A non-finite loss aborts with NumericError
-    carrying the last-good parameters.
+    best_val_loss is None. A non-finite value in a training step or in a
+    validation forward aborts with NumericError carrying the last-good
+    parameters and the report so far.
     """
     cfg = tc.scheme
     matrix = emb.matrix
@@ -122,6 +128,9 @@ def train(emb, tc):
             trace = forward(params, xb, noise, cfg)
             grads = backward(params, xb, noise, cfg, trace)
             adam_step(params, grads, state)
+            val_loss = None
+            if it % tc.validate_every == 0:
+                val_loss = forward(params, x_val, None, cfg).loss
         except NumericError as exc:
             report.iterations_run = it
             report.wall_time = time.perf_counter() - t_start
@@ -131,8 +140,7 @@ def train(emb, tc):
                 report=report,
             ) from exc
 
-        if it % tc.validate_every == 0:
-            val_loss = forward(params, x_val, None, cfg).loss
+        if val_loss is not None:
             report.val_loss_history.append((it, val_loss))
             log.info("iteration %d: validation loss %.6f", it, val_loss)
             if val_loss < best_loss:

@@ -106,6 +106,38 @@ class TestTrain:
         for _, arr in params.items():
             assert np.all(np.isfinite(arr))
 
+    def test_nan_lr_exits_2(self, emb_file, tmp_path, capsys):
+        out = tmp_path / "model.ckpt"
+        code = main([
+            "train", "--emb", str(emb_file), "--M", "2", "--K", "4",
+            "--iters", "300", "--lr", "nan", "--out", str(out), "--quiet",
+        ])
+        assert code == 2
+        assert "lr" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_divergent_run_keeps_best_iteration(self, emb_file, tmp_path,
+                                                monkeypatch):
+        # Poison the parameters after step 1500: validation at 1000 was the
+        # last good one, and the kept checkpoint must say so.
+        real_step = trainer.adam_step
+
+        def poisoned_step(params, grads, state):
+            real_step(params, grads, state)
+            if state.t == 1500:
+                params.A[...] = np.nan
+
+        monkeypatch.setattr(trainer, "adam_step", poisoned_step)
+        out = tmp_path / "model.ckpt"
+        code = main([
+            "train", "--emb", str(emb_file), "--M", "2", "--K", "4",
+            "--iters", "2000", "--batch", "16", "--lr", "1e-3", "--seed", "5",
+            "--out", str(out), "--quiet",
+        ])
+        assert code == 4
+        _, _, iteration = trainer.load_checkpoint(out)
+        assert iteration == 1000
+
     def test_bad_scheme_exits_2(self, emb_file, tmp_path):
         code = main([
             "train", "--emb", str(emb_file), "--M", "2", "--K", "3",

@@ -74,6 +74,11 @@ class TestSchemeConfig:
         with pytest.raises(ConfigError):
             SchemeConfig(M=4, K=8, H=8, tau=0.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ConfigError):
+            SchemeConfig(M=4, K=8, H=8, tau=tau)
+
     def test_hidden_width(self):
         assert SchemeConfig(M=4, K=8, H=16).hidden == 16
         assert SchemeConfig(M=8, K=64, H=300).hidden == 256
@@ -235,6 +240,66 @@ class TestAdam:
             model.adam_step(params, grads, state)
         want = scalar_adam_oracle(0.5, grad_values, lr=0.05)
         assert float(params.b[0]) == pytest.approx(want, abs=1e-7)
+
+    def test_updates_callers_arrays_in_place(self):
+        cfg = SchemeConfig(M=2, K=4, H=3)
+        rng = tensor.new_rng(0)
+        params = model.init_params(cfg, rng)
+        before = params.copy()
+        arrays = dict(params.items())
+        state = model.new_adam_state(params, lr=0.1)
+        buffers = [dict(state.m), dict(state.v), dict(state.work)]
+        for _ in range(3):
+            grads = {name: rng.standard_normal(arr.shape).astype(np.float32)
+                     for name, arr in params.items()}
+            model.adam_step(params, grads, state)
+        for name, arr in params.items():
+            assert arr is arrays[name], name
+            assert not np.array_equal(arr, getattr(before, name)), name
+        for saved, live in zip(buffers, (state.m, state.v, state.work)):
+            for name, buf in saved.items():
+                assert live[name] is buf, name
+
+    def test_float32_tracks_float64_shadow(self):
+        # Tolerance fixed from the dtype: each float32 step rounds a
+        # parameter with |p| < 4 by at most half a float32 spacing at 4.
+        # The update's own rounding (a few float32 eps on a step of at most
+        # a few lr) is far below that.
+        steps, lr = 200, 1e-2
+        tol = steps * float(np.spacing(np.float32(4.0)))
+        cfg = SchemeConfig(M=2, K=4, H=6)
+        rng = tensor.new_rng(3)
+        p32 = model.init_params(cfg, rng)
+        p64 = p32.astype(np.float64)
+        s32 = model.new_adam_state(p32, lr=lr)
+        s64 = model.new_adam_state(p64, lr=lr)
+        for _ in range(steps):
+            g64 = {name: rng.standard_normal(arr.shape) for name, arr in p64.items()}
+            g32 = {name: g.astype(np.float32) for name, g in g64.items()}
+            model.adam_step(p64, g64, s64)
+            model.adam_step(p32, g32, s32)
+        for name, arr in p32.items():
+            want = getattr(p64, name)
+            assert np.all(np.abs(want) < 4), name
+            assert arr.dtype == np.float32, name
+            np.testing.assert_allclose(arr, want, rtol=0, atol=tol, err_msg=name)
+
+    def test_float64_params_stay_float64(self):
+        cfg = SchemeConfig(M=1, K=2, H=1)
+        params = model.init_params(cfg, tensor.new_rng(0), dtype=np.float64)
+        params.b = np.array([0.5])
+        state = model.new_adam_state(params, lr=0.05)
+        grad_values = [0.3, -0.7]
+        for g in grad_values:
+            grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+            grads["b"] = np.array([g])
+            model.adam_step(params, grads, state)
+        for name, arr in params.items():
+            for group in (arr, state.m[name], state.v[name], state.work[name]):
+                assert group.dtype == np.float64, name
+        # Float64 arithmetic matches the oracle far below float32 precision.
+        want = scalar_adam_oracle(0.5, grad_values, lr=0.05)
+        assert float(params.b[0]) == pytest.approx(want, abs=1e-14)
 
 
 class TestInit:

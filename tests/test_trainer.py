@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from codecomp import model, tensor
+from codecomp import model, tensor, trainer
 from codecomp.embeddings import EmbeddingMatrix
 from codecomp.errors import ConfigError, DataError, NumericError
 from codecomp.model import SchemeConfig
@@ -87,6 +89,16 @@ class TestTrainConfig:
         tc = small_config(iterations=0)
         assert tc.iterations == 0
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_lr(self, lr):
+        with pytest.raises(ConfigError):
+            small_config(lr=lr)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 2.0, -0.1, math.nan])
+    def test_rejects_val_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ConfigError):
+            small_config(val_fraction=fraction)
+
 
 class TestTrain:
     def test_zero_iterations_returns_initial_params(self):
@@ -123,6 +135,18 @@ class TestTrain:
         emb = small_embeddings()
         tc = small_config(iterations=300, validate_every=100)
         params, report = train(emb, tc)
+        rng = tensor.new_rng(tc.seed)
+        _, val_idx = split_validation(emb, tc, rng)
+        loss = model.forward(params, emb.matrix[val_idx], None, tc.scheme).loss
+        assert loss == report.best_val_loss
+
+    def test_best_params_survive_later_steps(self):
+        # Adam updates the live parameters in place; the kept best must be
+        # a copy that later steps do not reach.
+        emb = small_embeddings()
+        tc = small_config(lr=1e-2, iterations=400, validate_every=100)
+        params, report = train(emb, tc)
+        assert report.best_iteration < report.iterations_run
         rng = tensor.new_rng(tc.seed)
         _, val_idx = split_validation(emb, tc, rng)
         loss = model.forward(params, emb.matrix[val_idx], None, tc.scheme).loss
@@ -171,6 +195,30 @@ class TestTrain:
             assert np.all(np.isfinite(arr)), name
         assert err.report is not None
         assert err.report.iterations_run >= 1
+
+
+    def test_diverged_validation_carries_last_good_params(self, monkeypatch):
+        # Poison the parameters in the step of iteration 200, so the
+        # validation forward of that iteration is the first to see them.
+        real_step = trainer.adam_step
+
+        def poisoned_step(params, grads, state):
+            real_step(params, grads, state)
+            if state.t == 200:
+                params.A[...] = np.nan
+
+        monkeypatch.setattr(trainer, "adam_step", poisoned_step)
+        emb = small_embeddings()
+        tc = small_config(iterations=300, validate_every=100)
+        with pytest.raises(NumericError) as exc_info:
+            train(emb, tc)
+        err = exc_info.value
+        assert err.report.iterations_run == 200
+        assert err.report.best_iteration == 100
+        rng = tensor.new_rng(tc.seed)
+        _, val_idx = split_validation(emb, tc, rng)
+        loss = model.forward(err.params, emb.matrix[val_idx], None, tc.scheme).loss
+        assert loss == err.report.best_val_loss
 
 
 class TestCheckpoint:
