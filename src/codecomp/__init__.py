@@ -42,6 +42,7 @@ from .model import (
     SchemeConfig,
     adam_step,
     backward,
+    encode,
     forward,
     init_params,
     new_adam_state,

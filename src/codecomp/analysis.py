@@ -143,6 +143,14 @@ def shared_code_groups(codes, vocab):
     return [(code, [vocab[i] for i in idxs]) for code, idxs in shared]
 
 
+def _map(fn, items, threads):
+    """[fn(item) for item in items], on a pool of `threads` threads when > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def _kmeans_block(block, K, iterations, rng):
     """Lloyd's algorithm with k-means++ seeding on one dimension block.
 
@@ -209,11 +217,7 @@ def pq_baseline(emb, M, K, iterations=25, seed=0, threads=1):
         block = matrix[:, i * sub:(i + 1) * sub].astype(np.float64)
         return _kmeans_block(block, K, iterations, block_rngs[i])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(M)))
-    else:
-        results = [run(i) for i in range(M)]
+    results = _map(run, range(M), threads)
 
     codes = np.zeros((vocab_size, M), dtype=np.int32)
     books = np.zeros((M * K, dim), dtype=np.float32)
@@ -270,11 +274,7 @@ def neighbor_overlap(original, recon, k, sample, seed=0, threads=1):
         slice(i, min(i + _OVERLAP_CHUNK, len(queries)))
         for i in range(0, len(queries), _OVERLAP_CHUNK)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(c) for c in chunks]
+    parts = _map(run, chunks, threads)
     shared = np.concatenate(parts) if parts else np.zeros(0)
     return float(shared.mean() / k) if len(shared) else 0.0
 

@@ -7,18 +7,17 @@ concatenated LSB-first into a little-endian bit stream and each word is
 padded to a byte boundary for O(1) random access.
 """
 
-import struct
-
 import numpy as np
 
+from . import container
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
-from .model import ALPHA_FLOOR
-from .tensor import gumbel_from_uniform, matmul, softplus
+from .model import encode
+# matmul is unused here, but bench/tracing.py patches codec.matmul by name.
+from .tensor import matmul, sample_gumbel  # noqa: F401
 
 CODE_MAGIC = b"DCC1"
 BOOK_MAGIC = b"DCB1"
-FORMAT_VERSION = 1
 
 # Export runs the encoder in slices this large to bound peak memory.
 _EXPORT_CHUNK = 8192
@@ -85,9 +84,6 @@ class Codebooks:
         self.H = H
         self.vectors = vectors
 
-    def codeword(self, component, index):
-        return self.vectors[component * self.K + index]
-
 
 def export_codes(params, emb, cfg, noise_rng=None):
     """Hard codes for every word: argmax over alpha per component, noise-free.
@@ -106,16 +102,10 @@ def export_codes(params, emb, cfg, noise_rng=None):
     vocab_size = matrix.shape[0]
     out = np.empty((vocab_size, cfg.M), dtype=np.int32)
     for start in range(0, vocab_size, _EXPORT_CHUNK):
-        chunk = matrix[start:start + _EXPORT_CHUNK]
-        h = np.tanh(matmul(chunk, params.theta) + params.b)
-        raw = matmul(h, params.theta_prime) + params.b_prime
-        alpha = np.maximum(softplus(raw), raw.dtype.type(ALPHA_FLOOR))
-        scores = alpha.reshape(chunk.shape[0], cfg.M, cfg.K)
+        _, scores = encode(params, matrix[start:start + _EXPORT_CHUNK], cfg)
         if noise_rng is not None:
-            noise = gumbel_from_uniform(
-                noise_rng.random((chunk.shape[0], cfg.M, cfg.K))
-            ).astype(np.float32)
-            scores = np.log(scores) + noise
+            noise = sample_gumbel(noise_rng, len(scores), cfg.M * cfg.K)
+            scores = np.log(scores) + noise.reshape(scores.shape)
         out[start:start + _EXPORT_CHUNK] = scores.argmax(axis=2)
     books = Codebooks(cfg.M, cfg.K, cfg.H, params.A.copy())
     return CodeMatrix(cfg.M, cfg.K, out), books
@@ -163,11 +153,6 @@ def _code_bits(K):
 def pack_codes(codes):
     """Serialize a CodeMatrix to bytes: header then one padded record per word."""
     bits = _code_bits(codes.K)
-    header = CODE_MAGIC + struct.pack(
-        "<BIII", FORMAT_VERSION, codes.M, codes.K, codes.vocab_size
-    )
-    if codes.vocab_size == 0:
-        return header
     # (V, M, bits) bit planes, LSB first, flattened per word then padded
     # out to whole bytes.
     planes = (codes.codes[:, :, None] >> np.arange(bits)) & 1
@@ -176,6 +161,7 @@ def pack_codes(codes):
     if pad:
         flat = np.pad(flat, ((0, 0), (0, pad)))
     packed = np.packbits(flat, axis=1, bitorder="little")
+    header = container.header(CODE_MAGIC, codes.M, codes.K, codes.vocab_size)
     return header + packed.tobytes()
 
 
@@ -185,60 +171,21 @@ def unpack_codes(data):
     (Code files append the vocabulary after the records; use read_code_file
     to get both.)
     """
-    codes, _ = _unpack_codes_at(data)
+    codes, _ = _unpack_codes_at(data, "code data")
     return codes
 
 
-def _unpack_codes_at(data):
-    if len(data) < 17:
-        raise DataError(f"code data too short: {len(data)} bytes, need 17 for header")
-    if data[:4] != CODE_MAGIC:
-        raise DataError(f"bad code magic {data[:4]!r} at offset 0")
-    version, m, k, vocab_size = struct.unpack_from("<BIII", data, 4)
-    if version != FORMAT_VERSION:
-        raise DataError(f"unsupported code format version {version} at offset 4")
+def _unpack_codes_at(data, source):
+    (m, k, vocab_size), offset = container.read_header(data, CODE_MAGIC, 3, source)
     if k < 2 or (k & (k - 1)) != 0:
-        raise DataError(f"header K={k} is not a power of 2 (offset 9)")
+        raise DataError(f"{source}: header K={k} is not a power of 2 (offset 9)")
     bits = _code_bits(k)
-    bytes_per_word = (m * bits + 7) // 8
-    payload = vocab_size * bytes_per_word
-    if len(data) < 17 + payload:
-        raise DataError(
-            f"truncated code payload: expected {payload} bytes at offset 17, "
-            f"got {len(data) - 17}"
-        )
-    if vocab_size == 0:
-        return CodeMatrix(m, k, np.zeros((0, m), dtype=np.int32)), 17
-    raw = np.frombuffer(data, dtype=np.uint8, count=payload, offset=17)
-    flat = np.unpackbits(raw.reshape(vocab_size, bytes_per_word), axis=1,
-                         bitorder="little")
+    shape = (vocab_size, (m * bits + 7) // 8)
+    raw, offset = container.read_array(data, offset, shape, source, dtype=np.uint8)
+    flat = np.unpackbits(raw, axis=1, bitorder="little")
     planes = flat[:, : m * bits].reshape(vocab_size, m, bits)
     values = (planes.astype(np.int32) << np.arange(bits, dtype=np.int32)).sum(axis=2)
-    return CodeMatrix(m, k, values), 17 + payload
-
-
-def _write_vocab(fh, vocab):
-    for word in vocab:
-        blob = word.encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-
-
-def _read_vocab(data, offset, count, path):
-    vocab = []
-    for _ in range(count):
-        if offset + 4 > len(data):
-            raise DataError(f"{path}: truncated vocabulary length at offset {offset}")
-        (length,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        if offset + length > len(data):
-            raise DataError(
-                f"{path}: truncated vocabulary entry: expected {length} bytes "
-                f"at offset {offset}, got {len(data) - offset}"
-            )
-        vocab.append(data[offset:offset + length].decode("utf-8"))
-        offset += length
-    return vocab, offset
+    return CodeMatrix(m, k, values), offset
 
 
 def write_code_file(path, codes, vocab):
@@ -249,44 +196,27 @@ def write_code_file(path, codes, vocab):
         )
     with open(path, "wb") as fh:
         fh.write(pack_codes(codes))
-        _write_vocab(fh, vocab)
+        fh.write(container.vocab_bytes(vocab))
 
 
 def read_code_file(path):
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        codes, offset = _unpack_codes_at(data)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    vocab, _ = _read_vocab(data, offset, codes.vocab_size, path)
+    codes, offset = _unpack_codes_at(data, path)
+    vocab, _ = container.read_vocab(data, offset, codes.vocab_size, path)
     return codes, vocab
 
 
 def write_codebook_file(path, books):
     """Codebook file: scheme dims then M*K*H little-endian float32 values."""
     with open(path, "wb") as fh:
-        fh.write(BOOK_MAGIC)
-        fh.write(struct.pack("<BIII", FORMAT_VERSION, books.M, books.K, books.H))
-        fh.write(np.ascontiguousarray(books.vectors, dtype="<f4").tobytes())
+        fh.write(container.header(BOOK_MAGIC, books.M, books.K, books.H))
+        fh.write(container.floats(books.vectors))
 
 
 def read_codebook_file(path):
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 17:
-        raise DataError(f"{path}: codebook file too short: {len(data)} bytes")
-    if data[:4] != BOOK_MAGIC:
-        raise DataError(f"{path}: bad codebook magic {data[:4]!r} at offset 0")
-    version, m, k, h = struct.unpack_from("<BIII", data, 4)
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported codebook version {version}")
-    count = m * k * h
-    expected = count * 4
-    if len(data) - 17 < expected:
-        raise DataError(
-            f"{path}: truncated codebook payload: expected {expected} bytes "
-            f"at offset 17, got {len(data) - 17}"
-        )
-    vectors = np.frombuffer(data, dtype="<f4", count=count, offset=17)
-    return Codebooks(m, k, h, vectors.reshape(m * k, h).copy())
+    (m, k, h), offset = container.read_header(data, BOOK_MAGIC, 3, path)
+    vectors, _ = container.read_array(data, offset, (m * k, h), path)
+    return Codebooks(m, k, h, vectors)

@@ -6,17 +6,16 @@ codes address words by position.
 """
 
 import logging
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .errors import ConfigError, DataError
 
 log = logging.getLogger("codecomp.embeddings")
 
 MATRIX_MAGIC = b"DEM1"
-MATRIX_VERSION = 1
 
 
 @dataclass
@@ -60,36 +59,40 @@ def read_text_embeddings(path, limit=None):
     rows = []
     dim = None
     consumed = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if limit is not None and consumed >= limit:
-                break
-            consumed += 1
-            parts = line.split()
-            word, fields = parts[0], parts[1:]
-            if dim is None:
-                dim = len(fields)
-                if dim == 0:
-                    raise DataError(f"{path}: line {lineno}: no vector values")
-            elif len(fields) != dim:
-                raise DataError(
-                    f"{path}: line {lineno}: expected {dim} values, got {len(fields)}"
-                )
-            try:
-                values = [float(f) for f in fields]
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            if word in seen:
-                log.warning(
-                    "%s: line %d: duplicate word %r, keeping first occurrence",
-                    path, lineno, word,
-                )
-                continue
-            seen[word] = True
-            vocab.append(word)
-            rows.append(values)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                if limit is not None and consumed >= limit:
+                    break
+                consumed += 1
+                parts = line.split()
+                word, fields = parts[0], parts[1:]
+                if dim is None:
+                    dim = len(fields)
+                    if dim == 0:
+                        raise DataError(f"{path}: line {lineno}: no vector values")
+                elif len(fields) != dim:
+                    raise DataError(
+                        f"{path}: line {lineno}: expected {dim} values, "
+                        f"got {len(fields)}"
+                    )
+                try:
+                    values = [float(f) for f in fields]
+                except ValueError as exc:
+                    raise DataError(f"{path}: line {lineno}: {exc}") from exc
+                if word in seen:
+                    log.warning(
+                        "%s: line %d: duplicate word %r, keeping first occurrence",
+                        path, lineno, word,
+                    )
+                    continue
+                seen[word] = True
+                vocab.append(word)
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if dim is None:
         dim = 0
     matrix = np.asarray(rows, dtype=np.float32).reshape(len(vocab), dim)
@@ -119,45 +122,15 @@ def write_text_embeddings(emb, path):
 def write_binary_matrix(emb, path):
     """Binary embedding file: dims, row-major float32 payload, vocabulary."""
     with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<BII", MATRIX_VERSION, emb.vocab_size, emb.dim))
-        fh.write(np.ascontiguousarray(emb.matrix, dtype="<f4").tobytes())
-        for word in emb.vocab:
-            blob = word.encode("utf-8")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
+        fh.write(container.header(MATRIX_MAGIC, emb.vocab_size, emb.dim))
+        fh.write(container.floats(emb.matrix))
+        fh.write(container.vocab_bytes(emb.vocab))
 
 
 def read_binary_matrix(path):
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 13:
-        raise DataError(f"{path}: file too short for a header: {len(data)} bytes")
-    if data[:4] != MATRIX_MAGIC:
-        raise DataError(f"{path}: bad magic {data[:4]!r} at offset 0")
-    version, vocab_size, dim = struct.unpack_from("<BII", data, 4)
-    if version != MATRIX_VERSION:
-        raise DataError(f"{path}: unsupported version {version}")
-    count = vocab_size * dim
-    expected = count * 4
-    if len(data) - 13 < expected:
-        raise DataError(
-            f"{path}: truncated float payload: expected {expected} bytes "
-            f"at offset 13, got {len(data) - 13}"
-        )
-    matrix = np.frombuffer(data, dtype="<f4", count=count, offset=13)
-    offset = 13 + expected
-    vocab = []
-    for _ in range(vocab_size):
-        if offset + 4 > len(data):
-            raise DataError(f"{path}: truncated vocabulary length at offset {offset}")
-        (length,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        if offset + length > len(data):
-            raise DataError(
-                f"{path}: truncated vocabulary entry: expected {length} bytes "
-                f"at offset {offset}, got {len(data) - offset}"
-            )
-        vocab.append(data[offset:offset + length].decode("utf-8"))
-        offset += length
-    return EmbeddingMatrix(vocab=vocab, matrix=matrix.reshape(vocab_size, dim).copy())
+    (vocab_size, dim), offset = container.read_header(data, MATRIX_MAGIC, 2, path)
+    matrix, offset = container.read_array(data, offset, (vocab_size, dim), path)
+    vocab, _ = container.read_vocab(data, offset, vocab_size, path)
+    return EmbeddingMatrix(vocab=vocab, matrix=matrix)

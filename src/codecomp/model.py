@@ -88,16 +88,21 @@ class ModelParams:
     def copy(self):
         return ModelParams(**{name: arr.copy() for name, arr in self.items()})
 
-    def validate(self, cfg):
+    @staticmethod
+    def shapes(cfg):
+        """Shape of each parameter group under a scheme, in PARAM_NAMES order."""
         hid = cfg.hidden
         mk = cfg.M * cfg.K
-        expect = {
+        return {
             "theta": (cfg.H, hid),
             "b": (hid,),
             "theta_prime": (hid, mk),
             "b_prime": (mk,),
             "A": (mk, cfg.H),
         }
+
+    def validate(self, cfg):
+        expect = self.shapes(cfg)
         for name, arr in self.items():
             if arr.shape != expect[name]:
                 raise ConfigError(
@@ -176,6 +181,21 @@ def _require_finite(arr, stage):
         raise NumericError(f"non-finite values in forward stage '{stage}'")
 
 
+def encode(params, x, cfg):
+    """Encoder: hidden layer h (B x hidden) and codeword scores alpha (B x M x K).
+
+    alpha is floored at ALPHA_FLOOR. Training's forward pass and code export
+    both score words here, so export's argmax sees what training optimised.
+    """
+    h = np.tanh(matmul(x, params.theta) + params.b)
+    _require_finite(h, "hidden")
+    raw = matmul(h, params.theta_prime) + params.b_prime
+    alpha = np.maximum(softplus(raw), raw.dtype.type(ALPHA_FLOOR))
+    alpha = alpha.reshape(x.shape[0], cfg.M, cfg.K)
+    _require_finite(alpha, "alpha")
+    return h, alpha
+
+
 def forward(params, batch, noise, cfg, hard=False):
     """Run the autoencoder on a batch, returning all intermediate stages.
 
@@ -197,14 +217,7 @@ def forward(params, batch, noise, cfg, hard=False):
                 f"noise shape {noise.shape}, expected {(bsz, cfg.M, cfg.K)}"
             )
 
-    h = np.tanh(matmul(batch, params.theta, check=False) + params.b)
-    _require_finite(h, "hidden")
-
-    raw = matmul(h, params.theta_prime, check=False) + params.b_prime
-    alpha = np.maximum(softplus(raw), raw.dtype.type(ALPHA_FLOOR))
-    alpha = alpha.reshape(bsz, cfg.M, cfg.K)
-    _require_finite(alpha, "alpha")
-
+    h, alpha = encode(params, batch, cfg)
     logits = np.log(alpha)
     if noise is not None:
         logits = logits + noise
@@ -217,7 +230,7 @@ def forward(params, batch, noise, cfg, hard=False):
         d = softmax(logits, axis=2)
     _require_finite(d, "assignment")
 
-    recon = matmul(d.reshape(bsz, cfg.M * cfg.K), params.A, check=False)
+    recon = matmul(d.reshape(bsz, cfg.M * cfg.K), params.A)
     _require_finite(recon, "reconstruction")
 
     resid = recon - batch
@@ -227,7 +240,7 @@ def forward(params, batch, noise, cfg, hard=False):
     return ForwardTrace(h=h, alpha=alpha, d=d, recon=recon, loss=loss)
 
 
-def backward(params, batch, noise, cfg, trace):
+def backward(params, batch, cfg, trace):
     """Analytic gradients of the batch loss for all five parameter groups.
 
     The softmax Jacobian contracts to d * (g - sum(g * d)) per K-slice; the
@@ -242,9 +255,9 @@ def backward(params, batch, noise, cfg, trace):
     alpha_flat = trace.alpha.reshape(bsz, mk)
 
     d_recon = ((2.0 / bsz) * (trace.recon - batch)).astype(batch.dtype)
-    g_a = matmul(d_flat.T, d_recon, check=False)
+    g_a = matmul(d_flat.T, d_recon)
 
-    d_d = matmul(d_recon, params.A.T, check=False).reshape(bsz, cfg.M, cfg.K)
+    d_d = matmul(d_recon, params.A.T).reshape(bsz, cfg.M, cfg.K)
     inner = (d_d * trace.d).sum(axis=2, keepdims=True)
     d_logits = trace.d * (d_d - inner)
     d_log_alpha = (d_logits / cfg.tau).reshape(bsz, mk)
@@ -253,12 +266,12 @@ def backward(params, batch, noise, cfg, trace):
     factor[alpha_flat <= ALPHA_FLOOR] = 0.0
     d_raw = (d_log_alpha * factor / alpha_flat).astype(batch.dtype)
 
-    g_theta_prime = matmul(trace.h.T, d_raw, check=False)
+    g_theta_prime = matmul(trace.h.T, d_raw)
     g_b_prime = d_raw.sum(axis=0, dtype=np.float64).astype(batch.dtype)
 
-    d_h = matmul(d_raw, params.theta_prime.T, check=False)
+    d_h = matmul(d_raw, params.theta_prime.T)
     d_pre = (d_h * (1.0 - trace.h ** 2)).astype(batch.dtype)
-    g_theta = matmul(batch.T, d_pre, check=False)
+    g_theta = matmul(batch.T, d_pre)
     g_b = d_pre.sum(axis=0, dtype=np.float64).astype(batch.dtype)
 
     return {

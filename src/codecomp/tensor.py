@@ -15,7 +15,7 @@ shadow of the float32 path.
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 # Clamp for uniform draws before the double-log Gumbel transform.
 GUMBEL_EPS = 1e-20
@@ -30,19 +30,11 @@ def new_rng(seed):
     return np.random.default_rng(seed)
 
 
-def _check_finite(out, op):
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"{op} produced non-finite values")
-    return out
-
-
-def matmul(a, b, check=True):
+def matmul(a, b):
     """Matrix product with 64-bit accumulation, rounded to the input dtype.
 
-    Both operands must be 2-D with matching inner dimension. check=False
-    skips the output finiteness scan; callers that do their own staged
-    checking (the model's forward/backward) use it to keep error messages
-    anchored to the stage that blew up.
+    Both operands must be 2-D with matching inner dimension. The output is
+    not scanned for non-finite values; callers check at their own stages.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -51,52 +43,13 @@ def matmul(a, b, check=True):
     if a.shape[1] != b.shape[0]:
         raise ConfigError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out = np.matmul(a.astype(np.float64), b.astype(np.float64))
-    out = out.astype(np.result_type(a, b))
-    if check:
-        _check_finite(out, "matmul")
-    return out
-
-
-def _binary(a, b, fn, name):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ConfigError(f"{name} shape mismatch: {a.shape} vs {b.shape}")
-    return _check_finite(fn(a, b), name)
-
-
-def add(a, b):
-    return _binary(a, b, np.add, "add")
-
-
-def sub(a, b):
-    return _binary(a, b, np.subtract, "sub")
-
-
-def mul(a, b):
-    return _binary(a, b, np.multiply, "mul")
-
-
-def scale(a, c):
-    return _check_finite(np.asarray(a) * c, "scale")
-
-
-def tanh(x):
-    return np.tanh(np.asarray(x))
+    return out.astype(np.result_type(a, b))
 
 
 def softplus(x):
     """log(1 + e^x) with an overflow guard: for x > 30 return x directly."""
     x = np.asarray(x)
     return np.where(x > 30, x, np.log1p(np.exp(np.minimum(x, 30)))).astype(x.dtype)
-
-
-def exp(x):
-    return _check_finite(np.exp(np.asarray(x)), "exp")
-
-
-def log(x):
-    return _check_finite(np.log(np.asarray(x)), "log")
 
 
 def gumbel_from_uniform(u):

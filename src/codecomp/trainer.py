@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import container
 from .errors import ConfigError, DataError, NumericError
 from .model import (
     ModelParams,
@@ -30,7 +31,6 @@ from .tensor import new_rng, sample_gumbel
 log = logging.getLogger("codecomp.trainer")
 
 CHECKPOINT_MAGIC = b"DCLM"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -126,7 +126,7 @@ def train(emb, tc):
         )
         try:
             trace = forward(params, xb, noise, cfg)
-            grads = backward(params, xb, noise, cfg, trace)
+            grads = backward(params, xb, cfg, trace)
             adam_step(params, grads, state)
             val_loss = None
             if it % tc.validate_every == 0:
@@ -168,11 +168,9 @@ def save_checkpoint(path, params, cfg, iteration):
     """
     params.validate(cfg)
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<B", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<III", cfg.M, cfg.K, cfg.H))
+        fh.write(container.header(CHECKPOINT_MAGIC, cfg.M, cfg.K, cfg.H))
         for _, arr in params.items():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(container.floats(arr))
         fh.write(struct.pack("<Q", iteration))
 
 
@@ -180,39 +178,18 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (params, scheme, iteration). tau defaults to 1."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 17:
-        raise DataError(f"checkpoint too short: {len(data)} bytes")
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise DataError(f"bad checkpoint magic {data[:4]!r} at offset 0")
-    version = data[4]
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
-    m, k, h = struct.unpack_from("<III", data, 5)
+    (m, k, h), offset = container.read_header(data, CHECKPOINT_MAGIC, 3, path)
     try:
         cfg = SchemeConfig(M=m, K=k, H=h)
     except ConfigError as exc:
-        raise DataError(f"checkpoint holds invalid scheme: {exc}") from exc
-    hid = cfg.hidden
-    mk = m * k
-    shapes = [(h, hid), (hid,), (hid, mk), (mk,), (mk, h)]
-    offset = 17
-    arrays = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        nbytes = count * 4
-        if offset + nbytes > len(data):
-            raise DataError(
-                f"truncated checkpoint: expected {nbytes} bytes at offset {offset}, "
-                f"file has {len(data) - offset}"
-            )
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        arrays.append(arr.reshape(shape).copy())
-        offset += nbytes
+        raise DataError(f"{path}: checkpoint holds invalid scheme: {exc}") from exc
+    arrays = {}
+    for name, shape in ModelParams.shapes(cfg).items():
+        arrays[name], offset = container.read_array(data, offset, shape, path)
     if offset + 8 > len(data):
-        raise DataError(f"truncated checkpoint: missing iteration counter at offset {offset}")
+        raise DataError(
+            f"{path}: truncated checkpoint: missing iteration counter "
+            f"at offset {offset}"
+        )
     (iteration,) = struct.unpack_from("<Q", data, offset)
-    params = ModelParams(
-        theta=arrays[0], b=arrays[1], theta_prime=arrays[2], b_prime=arrays[3],
-        A=arrays[4],
-    )
-    return params, cfg, iteration
+    return ModelParams(**arrays), cfg, iteration

@@ -3,7 +3,12 @@ import pytest
 
 from codecomp import codec, tensor, trainer
 from codecomp.cli import main
-from codecomp.embeddings import EmbeddingMatrix, read_binary_matrix, write_text_embeddings
+from codecomp.embeddings import (
+    EmbeddingMatrix,
+    read_binary_matrix,
+    write_binary_matrix,
+    write_text_embeddings,
+)
 
 
 def kv(out):
@@ -244,6 +249,30 @@ class TestExportReconstruct:
             "--out", str(tmp_path / "r.txt"), "--quiet",
         ])
         assert code == 3
+
+
+class TestInvalidUtf8:
+    """A vocabulary that is not UTF-8 is bad data: exit 3 with a message."""
+
+    def test_code_file_vocabulary_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "codes.bin"
+        codec.write_code_file(path, codec.CodeMatrix(2, 4, np.array([[1, 2]])), ["a"])
+        path.write_bytes(path.read_bytes()[:-1] + b"\xff")
+        assert main(["balance", "--codes", str(path), "--quiet"]) == 3
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_binary_embedding_vocabulary_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "emb.bin"
+        write_binary_matrix(EmbeddingMatrix(vocab=["a"], matrix=np.ones((1, 2))), path)
+        path.write_bytes(path.read_bytes()[:-1] + b"\xff")
+        assert main(["stats", "--emb", str(path), "--recon", str(path), "--quiet"]) == 3
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_text_embeddings_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1.0 2.0\n\xff 3.0 4.0\n")
+        assert main(["stats", "--emb", str(path), "--recon", str(path), "--quiet"]) == 3
+        assert "UTF-8" in capsys.readouterr().err
 
 
 class TestAnalysisCommands:

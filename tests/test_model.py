@@ -184,7 +184,7 @@ class TestBackward:
         x = np.zeros((2, 3), dtype=np.float32)
         trace = model.forward(params, x, None, cfg)
         assert trace.loss == 0.0
-        grads = model.backward(params, x, None, cfg, trace)
+        grads = model.backward(params, x, cfg, trace)
         for name, g in grads.items():
             assert np.array_equal(g, np.zeros_like(g)), name
 
@@ -195,11 +195,11 @@ class TestBackward:
         x = rng.standard_normal((3, 6)).astype(np.float32)
         noise = tensor.sample_gumbel(rng, 3, 12).reshape(3, 3, 4)
         trace = model.forward(params, x, noise, cfg)
-        grads = model.backward(params, x, noise, cfg, trace)
+        grads = model.backward(params, x, cfg, trace)
         x2 = np.vstack([x, x])
         noise2 = np.vstack([noise, noise])
         trace2 = model.forward(params, x2, noise2, cfg)
-        grads2 = model.backward(params, x2, noise2, cfg, trace2)
+        grads2 = model.backward(params, x2, cfg, trace2)
         for name in grads:
             assert np.allclose(grads[name], grads2[name], rtol=1e-5, atol=1e-8), name
 

@@ -71,25 +71,6 @@ class TestElementwise:
         x = np.array([31.0, 100.0, 5000.0], dtype=np.float32)
         assert np.array_equal(tensor.softplus(x), x)
 
-    def test_tanh_zero(self):
-        assert tensor.tanh(np.zeros(3, dtype=np.float32))[0] == 0.0
-
-    def test_binary_ops(self):
-        a = np.array([1.0, 2.0], dtype=np.float32)
-        b = np.array([3.0, 5.0], dtype=np.float32)
-        assert np.array_equal(tensor.add(a, b), np.array([4.0, 7.0], dtype=np.float32))
-        assert np.array_equal(tensor.sub(a, b), np.array([-2.0, -3.0], dtype=np.float32))
-        assert np.array_equal(tensor.mul(a, b), np.array([3.0, 10.0], dtype=np.float32))
-        assert np.array_equal(tensor.scale(a, 2.0), np.array([2.0, 4.0], dtype=np.float32))
-
-    def test_binary_shape_mismatch(self):
-        with pytest.raises(ConfigError):
-            tensor.add(np.zeros(2, dtype=np.float32), np.zeros(3, dtype=np.float32))
-
-    def test_exp_log_roundtrip(self):
-        x = np.array([0.5, 1.0, 2.0], dtype=np.float32)
-        assert np.allclose(tensor.log(tensor.exp(x)), x, rtol=1e-6)
-
 
 class TestGumbel:
     def test_fixed_point_at_inverse_e(self):
