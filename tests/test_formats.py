@@ -1,10 +1,10 @@
 """The four binary file formats: pinned bytes, round trips and truncation.
 
 The golden digests pin every byte each writer produces from fixed inputs
-that involve no training. The export digests also depend on the float64
-GEMMs of the numpy/BLAS build, so they are only meaningful on the build
-that pinned them; the checkpoint, embedding and synthetic code/codebook
-digests depend only on the PCG64 stream and the file layouts.
+that involve no training. The two exported code files also depend on the
+float64 GEMMs of the numpy/BLAS build, so their digests are only
+meaningful on the build that pinned them; the other digests depend only
+on the PCG64 stream and the file layouts.
 """
 
 import hashlib
@@ -60,10 +60,10 @@ def test_golden_digests(tmp_path):
 
 # Random valid contents of each format must read back exactly.
 
-settings_ = settings(max_examples=40, deadline=None,
-                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+# tmp_path is shared by the examples of one test; each example overwrites it.
+bounded = settings(max_examples=40, deadline=None,
+                   suppress_health_check=[HealthCheck.function_scoped_fixture])
 words = st.text(max_size=6)
-float32s = st.floats(width=32)
 
 
 def same_bits(a, b):
@@ -74,7 +74,7 @@ def same_bits(a, b):
 def embedding_matrices(draw):
     vocab = draw(st.lists(words, max_size=8, unique=True))
     dim = draw(st.integers(0, 5))
-    matrix = draw(hnp.arrays(np.float32, (len(vocab), dim), elements=float32s))
+    matrix = draw(hnp.arrays(np.float32, (len(vocab), dim), elements=st.floats(width=32)))
     return EmbeddingMatrix(vocab=vocab, matrix=matrix)
 
 
@@ -99,7 +99,7 @@ def finite_arrays(shape):
                                                            allow_infinity=False))
 
 
-@settings_
+@bounded
 @given(embedding_matrices())
 def test_binary_matrix_roundtrip(tmp_path, emb):
     write_binary_matrix(emb, tmp_path / "emb.bin")
@@ -108,7 +108,7 @@ def test_binary_matrix_roundtrip(tmp_path, emb):
     assert same_bits(got.matrix, emb.matrix)
 
 
-@settings_
+@bounded
 @given(code_matrices())
 def test_code_file_roundtrip(tmp_path, codes_and_vocab):
     codes, vocab = codes_and_vocab
@@ -116,7 +116,7 @@ def test_code_file_roundtrip(tmp_path, codes_and_vocab):
     assert codec.read_code_file(tmp_path / "codes.bin") == (codes, vocab)
 
 
-@settings_
+@bounded
 @given(st.data())
 def test_codebook_file_roundtrip(tmp_path, data):
     cfg = data.draw(schemes())
@@ -128,7 +128,7 @@ def test_codebook_file_roundtrip(tmp_path, data):
     assert same_bits(got.vectors, vectors)
 
 
-@settings_
+@bounded
 @given(st.data())
 def test_checkpoint_roundtrip(tmp_path, data):
     cfg = data.draw(schemes())
