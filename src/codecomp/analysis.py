@@ -194,27 +194,30 @@ def _kmeans_block(block, K, iterations, rng):
 def pq_baseline(emb, M, K, iterations=25, seed=0, threads=1):
     """Product quantization baseline: independent k-means per dimension block.
 
-    Dimensions split into M contiguous blocks of H/M; each block is
-    clustered into K centroids and a word's code component i is its cluster
-    in block i. Returned codebooks embed the centroids in full-width vectors
-    zero-padded outside their block, so compose_embedding reproduces the PQ
-    reconstruction exactly. Loss uses the training convention: squared L2
-    summed over dimensions, averaged over words. Blocks get independently
-    spawned generators, so results do not depend on the thread count.
+    Dimensions split into M contiguous blocks as np.array_split does: H/M
+    each when M divides H, otherwise the first H mod M blocks are one wider.
+    Each block is clustered into K centroids and a word's code component i
+    is its cluster in block i. Returned codebooks embed the centroids in
+    full-width vectors zero-padded outside their block, so compose_embedding
+    reproduces the PQ reconstruction exactly. Loss uses the training
+    convention: squared L2 summed over dimensions, averaged over words.
+    Blocks get independently spawned generators, so results do not depend
+    on the thread count.
     """
     matrix = emb.matrix
     vocab_size, dim = matrix.shape
-    if M < 1 or dim % M != 0:
-        raise ConfigError(f"H={dim} is not divisible by M={M}")
+    if not 1 <= M <= dim:
+        raise ConfigError(f"M must be between 1 and H={dim}, got {M}")
     if K < 2 or (K & (K - 1)) != 0:
         raise ConfigError(f"K must be a power of 2 and >= 2, got {K}")
     if vocab_size < K:
         raise ConfigError(f"need at least K={K} words, got {vocab_size}")
-    sub = dim // M
+    blocks = [(cols[0], cols[-1] + 1) for cols in np.array_split(np.arange(dim), M)]
     block_rngs = new_rng(seed).spawn(M)
 
     def run(i):
-        block = matrix[:, i * sub:(i + 1) * sub].astype(np.float64)
+        lo, hi = blocks[i]
+        block = matrix[:, lo:hi].astype(np.float64)
         return _kmeans_block(block, K, iterations, block_rngs[i])
 
     results = _map(run, range(M), threads)
@@ -222,9 +225,9 @@ def pq_baseline(emb, M, K, iterations=25, seed=0, threads=1):
     codes = np.zeros((vocab_size, M), dtype=np.int32)
     books = np.zeros((M * K, dim), dtype=np.float32)
     total_sse = 0.0
-    for i, (assign, centroids, sse) in enumerate(results):
+    for i, ((lo, hi), (assign, centroids, sse)) in enumerate(zip(blocks, results)):
         codes[:, i] = assign
-        books[i * K:(i + 1) * K, i * sub:(i + 1) * sub] = centroids
+        books[i * K:(i + 1) * K, lo:hi] = centroids
         total_sse += sse
     loss = total_sse / vocab_size if vocab_size else 0.0
     return CodeMatrix(M, K, codes), Codebooks(M, K, dim, books), loss

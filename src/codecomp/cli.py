@@ -20,14 +20,23 @@ from .tensor import new_rng
 log = logging.getLogger("codecomp.cli")
 
 
-def _env_int(name, default):
+def _env_int(name, default, minimum=None):
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ConfigError(f"environment variable {name}={raw!r} is not an integer")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"environment variable {name}={raw!r} must be >= {minimum}")
+    return value
+
+
+def _require_at_least(flag, value, minimum):
+    """Reject a count below its minimum; None means the flag was not given."""
+    if value is not None and value < minimum:
+        raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
 
 
 def _read_embeddings(path, limit=None):
@@ -63,6 +72,7 @@ def _print(text):
 
 
 def cmd_train(args):
+    _require_at_least("--limit", args.limit, 1)
     emb = _read_embeddings(args.emb, limit=args.limit)
     cfg = SchemeConfig(M=args.M, K=args.K, H=emb.dim, tau=args.tau)
     tc = trainer.TrainConfig(
@@ -189,6 +199,9 @@ def cmd_size(args):
 
 
 def cmd_pq(args):
+    _require_at_least("--limit", args.limit, 1)
+    _require_at_least("--iters", args.iters, 0)
+    _require_at_least("--threads", args.threads, 1)
     emb = _read_embeddings(args.emb, limit=args.limit)
     codes, books, loss = analysis.pq_baseline(
         emb, args.M, args.K, iterations=args.iters, seed=args.seed,
@@ -207,6 +220,8 @@ def cmd_pq(args):
 
 
 def cmd_nn_overlap(args):
+    _require_at_least("--sample", args.sample, 1)
+    _require_at_least("--threads", args.threads, 1)
     original = _read_embeddings(args.emb)
     recon = _load_recon(args)
     overlap = analysis.neighbor_overlap(
@@ -235,7 +250,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     seed_default = _env_int("CODECOMP_SEED", 0)
-    threads_default = _env_int("CODECOMP_THREADS", 1)
+    threads_default = _env_int("CODECOMP_THREADS", 1, minimum=1)
 
     p = sub.add_parser("train", parents=[common],
                        help="learn codes for an embedding file")

@@ -14,8 +14,8 @@ Gumbel noise enters through the reparameterized soft assignment, so the
 gradient flows through the softmax rather than a straight-through estimator.
 
 All functions are dtype-generic: float32 parameters give the production
-path (GEMMs accumulate in 64 bits and store 32; Adam updates in place in
-32 bits), while float64 parameters give a high-precision shadow used by the
+path (float32 GEMMs; Adam updates in place in 32 bits), while float64
+parameters give a high-precision shadow, float64 end to end, used by the
 finite-difference gradient tests.
 """
 

@@ -4,7 +4,9 @@ Everything above this module works with plain numpy arrays; the helpers
 here pin down the numeric conventions the rest of the package relies on:
 
 * parameters and data are stored as 32-bit floats,
-* matrix products accumulate in 64-bit and round to the storage dtype once,
+* matrix products run in the operands' own dtype (float32 GEMMs in
+  training), so each entry is within inner * eps * (|a| @ |b|) of the
+  exact product,
 * random numbers come from numpy's PCG64 generator, so a seed fixes the
   entire sample stream bit-exactly on a given build.
 
@@ -31,10 +33,14 @@ def new_rng(seed):
 
 
 def matmul(a, b):
-    """Matrix product with 64-bit accumulation, rounded to the input dtype.
+    """Matrix product computed by BLAS in the operands' own dtype.
 
-    Both operands must be 2-D with matching inner dimension. The output is
-    not scanned for non-finite values; callers check at their own stages.
+    Both operands must be 2-D with matching inner dimension. Float32
+    operands take the sgemm path and float64 operands stay float64; each
+    output entry is within inner * eps(dtype) * (|a| @ |b|) of the exact
+    product (Higham, Accuracy and Stability of Numerical Algorithms, 3.5).
+    The output is not scanned for non-finite values; callers check at their
+    own stages.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -42,8 +48,7 @@ def matmul(a, b):
         raise ConfigError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
     if a.shape[1] != b.shape[0]:
         raise ConfigError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = np.matmul(a.astype(np.float64), b.astype(np.float64))
-    return out.astype(np.result_type(a, b))
+    return np.matmul(a, b)
 
 
 def softplus(x):

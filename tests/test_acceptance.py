@@ -1,9 +1,9 @@
 """End-to-end acceptance checks, one test per numbered criterion.
 
 The expensive fixtures (full training runs) are module-scoped and shared
-between criteria. The whole module takes about 13 minutes single-threaded on
-a 2-vCPU Xeon VM: about 7 for criterion 09's three 200K-iteration runs and
-6 for criterion 05's nine 20K-iteration runs.
+between criteria. The whole module takes about 10 minutes on a 2-vCPU Xeon
+VM with float32 GEMMs: 5 to 6 for criterion 09's three 200K-iteration runs
+and about 4 for criterion 05's nine 20K-iteration runs.
 Every threshold here is pinned; a failing assertion prints the measured
 value next to the target.
 """

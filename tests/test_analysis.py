@@ -13,7 +13,7 @@ from codecomp.analysis import (
     shared_code_groups,
     size_report,
 )
-from codecomp.codec import CodeMatrix, reconstruct_all
+from codecomp.codec import CodeMatrix, compose_embedding, reconstruct_all
 from codecomp.embeddings import EmbeddingMatrix
 from codecomp.errors import ConfigError
 from codecomp.model import SchemeConfig
@@ -212,10 +212,22 @@ class TestPqBaseline:
         assert a[0] == b[0]
         assert a[2] == b[2]
 
-    def test_indivisible_dimension(self):
+    def test_paper_scheme_on_indivisible_dimension(self):
+        # M16 at H=300: blocks of 19 (twelve) and 18 (four) dimensions. Each
+        # column must belong to exactly one block for the codebooks to
+        # reproduce the reported loss.
+        emb = random_embeddings(64, 300, seed=7)
+        codes, books, loss = pq_baseline(emb, M=16, K=4, iterations=3, seed=0)
+        assert codes.codes.shape == (64, 16)
+        recon = np.stack([compose_embedding(row, books) for row in codes.codes])
+        diff = recon.astype(np.float64) - emb.matrix.astype(np.float64)
+        assert float((diff ** 2).sum(axis=1).mean()) == pytest.approx(loss, rel=1e-5)
+
+    def test_m_outside_one_to_h(self):
         emb = random_embeddings(30, 7, seed=0)
-        with pytest.raises(ConfigError):
-            pq_baseline(emb, M=2, K=4)
+        for M in (0, 8):
+            with pytest.raises(ConfigError):
+                pq_baseline(emb, M=M, K=4)
 
     def test_bad_k(self):
         emb = random_embeddings(30, 8, seed=0)

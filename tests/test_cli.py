@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import codecomp
 from codecomp import codec, tensor, trainer
 from codecomp.cli import main
 from codecomp.embeddings import (
@@ -9,6 +15,7 @@ from codecomp.embeddings import (
     write_binary_matrix,
     write_text_embeddings,
 )
+from codecomp.synthetic import synthetic_embeddings
 
 
 def kv(out):
@@ -90,6 +97,25 @@ class TestTrain:
         assert run_train(emb_file, a) == 0
         assert run_train(emb_file, b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # Paper shape M16 K32 H300, so the GEMMs are large enough for BLAS
+        # to split; the thread count is fixed at process start, hence the
+        # subprocesses.
+        emb, _, _ = synthetic_embeddings(M=4, K=8, H=300, vocab_size=600,
+                                         noise_std=0.1, seed=6)
+        write_binary_matrix(emb, tmp_path / "emb.bin")
+        src = str(Path(codecomp.__file__).parents[1])
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run(
+                [sys.executable, "-m", "codecomp", "train", "--emb", str(tmp_path / "emb.bin"),
+                 "--M", "16", "--K", "32", "--iters", "40", "--seed", "3", "--quiet",
+                 "--out", str(tmp_path / f"threads{threads}.ckpt")],
+                env=env, check=True, timeout=300,
+            )
+        assert (tmp_path / "threads1.ckpt").read_bytes() == (tmp_path / "threads2.ckpt").read_bytes()
 
     def test_input_file_is_not_mutated(self, emb_file, tmp_path):
         before = emb_file.read_bytes()
@@ -352,6 +378,28 @@ class TestAnalysisCommands:
         assert len(vocab) == 60
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["train", "--M", "2", "--K", "4", "--iters", "10", "--out", "{out}", "--limit", "0"],
+     "--limit"),
+    (["train", "--M", "2", "--K", "4", "--iters", "10", "--out", "{out}", "--limit", "-3"],
+     "--limit"),
+    (["pq", "--M", "2", "--K", "4", "--codes", "{out}", "--limit", "0"], "--limit"),
+    (["pq", "--M", "2", "--K", "4", "--codes", "{out}", "--iters", "-1"], "--iters"),
+    (["pq", "--M", "2", "--K", "4", "--codes", "{out}", "--threads", "0"], "--threads"),
+    (["nn-overlap", "--recon", "{emb}", "--sample", "0"], "--sample"),
+    (["nn-overlap", "--recon", "{emb}", "--threads", "-2"], "--threads"),
+], ids=["train-limit-0", "train-limit-neg", "pq-limit-0", "pq-iters-neg", "pq-threads-0",
+        "nn-overlap-sample-0", "nn-overlap-threads-neg"])
+def test_bad_count_exits_2_naming_the_flag(emb_file, tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.bin"
+    argv = [a.format(emb=emb_file, out=out) for a in argv]
+    assert main([argv[0], "--emb", str(emb_file), "--quiet", *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestEnvironment:
     def test_env_seed_applies_when_flag_absent(self, emb_file, capsys, monkeypatch):
         monkeypatch.setenv("CODECOMP_SEED", "7")
@@ -368,6 +416,12 @@ class TestEnvironment:
     def test_bad_env_value_exits_2(self, emb_file, monkeypatch, capsys):
         monkeypatch.setenv("CODECOMP_THREADS", "many")
         assert main(["pq", "--emb", str(emb_file), "--M", "2", "--K", "4",
+                     "--quiet"]) == 2
+        assert "CODECOMP_THREADS" in capsys.readouterr().err
+
+    def test_env_threads_below_one_exits_2(self, emb_file, monkeypatch, capsys):
+        monkeypatch.setenv("CODECOMP_THREADS", "0")
+        assert main(["nn-overlap", "--emb", str(emb_file), "--recon", str(emb_file),
                      "--quiet"]) == 2
         assert "CODECOMP_THREADS" in capsys.readouterr().err
 

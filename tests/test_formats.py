@@ -2,9 +2,10 @@
 
 The golden digests pin every byte each writer produces from fixed inputs
 that involve no training. The two exported code files also depend on the
-float64 GEMMs of the numpy/BLAS build, so their digests are only
-meaningful on the build that pinned them; the other digests depend only
-on the PCG64 stream and the file layouts.
+float32 GEMMs (sgemm) of the numpy/BLAS build, so their digests are only
+meaningful on a build that rounds like the one that pinned them (numpy
+2.4.6 with scipy-openblas 0.3.31); the other digests depend only on the
+PCG64 stream and the file layouts.
 """
 
 import hashlib
