@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -219,6 +220,31 @@ class TestTrain:
         _, val_idx = split_validation(emb, tc, rng)
         loss = model.forward(err.params, emb.matrix[val_idx], None, tc.scheme).loss
         assert loss == err.report.best_val_loss
+
+
+# SHA-256 of the checkpoint `train` returns, pinning every bit of the
+# training step. Like the exported-code digests of tests/test_formats.py,
+# these depend on the float32 GEMMs (sgemm) of the numpy/BLAS build and are
+# only meaningful on a build that rounds like the one that pinned them
+# (numpy 2.4.6 with scipy-openblas 0.3.31).
+TRAINED_GOLDEN = {
+    (4, 8, 16, 200): "3cf731ec0e342b281643010df23a7b4e076ed2c79f077ec5c2ac45cf4d1475ee",
+    (16, 32, 300, 20): "091f6a61375d03645e7a8a151e04375d32cdf4070ae96688d5cd84383c94ccfa",
+}
+
+
+@pytest.mark.parametrize("shape", TRAINED_GOLDEN, ids=["M4K8H16", "M16K32H300"])
+def test_trained_checkpoint_digest(tmp_path, shape):
+    m_books, k_words, dim, iterations = shape
+    emb, _, _ = synthetic_embeddings(M=m_books, K=k_words, H=dim, vocab_size=600,
+                                     noise_std=0.1, seed=6)
+    cfg = SchemeConfig(M=m_books, K=k_words, H=dim)
+    tc = TrainConfig(scheme=cfg, lr=1e-3, iterations=iterations,
+                     validate_every=iterations // 2, seed=7)
+    params, report = train(emb, tc)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, cfg, report.best_iteration)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAINED_GOLDEN[shape]
 
 
 class TestCheckpoint:
