@@ -73,6 +73,8 @@ def _print(text):
 
 def cmd_train(args):
     _require_at_least("--limit", args.limit, 1)
+    _require_at_least("--iters", args.iters, 0)
+    _require_at_least("--seed", args.seed, 0)
     emb = _read_embeddings(args.emb, limit=args.limit)
     cfg = SchemeConfig(M=args.M, K=args.K, H=emb.dim, tau=args.tau)
     tc = trainer.TrainConfig(
@@ -108,6 +110,7 @@ def cmd_train(args):
 
 
 def cmd_export(args):
+    _require_at_least("--sample-noise-seed", args.sample_noise_seed, 0)
     params, cfg, _ = trainer.load_checkpoint(args.checkpoint)
     emb = _read_embeddings(args.emb)
     if emb.dim != cfg.H:
@@ -201,6 +204,7 @@ def cmd_size(args):
 def cmd_pq(args):
     _require_at_least("--limit", args.limit, 1)
     _require_at_least("--iters", args.iters, 0)
+    _require_at_least("--seed", args.seed, 0)
     _require_at_least("--threads", args.threads, 1)
     emb = _read_embeddings(args.emb, limit=args.limit)
     codes, books, loss = analysis.pq_baseline(
@@ -221,6 +225,7 @@ def cmd_pq(args):
 
 def cmd_nn_overlap(args):
     _require_at_least("--sample", args.sample, 1)
+    _require_at_least("--seed", args.seed, 0)
     _require_at_least("--threads", args.threads, 1)
     original = _read_embeddings(args.emb)
     recon = _load_recon(args)
@@ -249,7 +254,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    seed_default = _env_int("CODECOMP_SEED", 0)
+    seed_default = _env_int("CODECOMP_SEED", 0, minimum=0)
     threads_default = _env_int("CODECOMP_THREADS", 1, minimum=1)
 
     p = sub.add_parser("train", parents=[common],

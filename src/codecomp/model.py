@@ -64,29 +64,58 @@ class SchemeConfig:
         return self.M * (self.K.bit_length() - 1)
 
 
-@dataclass
+def _group(name):
+    return property(lambda self: self._groups[name],
+                    doc=f"View of {name} in the flat buffer; cannot be rebound.")
+
+
 class ModelParams:
-    """Encoder weights and the stacked codebook matrix.
+    """Encoder weights and the stacked codebook matrix in one flat buffer.
+
+    flat holds theta, b, theta_prime, b_prime and A back to back, row-major,
+    in PARAM_NAMES order; each group is a view of its slice, so writing into
+    a group writes into flat. The groups cannot be rebound. Gradients and
+    Adam's moments share this layout, so Adam runs over flat arrays.
 
     A is (M*K) x H with rows [i*K, (i+1)*K) forming codebook i, so a soft
     assignment flattened to (B, M*K) reconstructs as a single matrix product.
     """
 
-    theta: np.ndarray        # H x hidden
-    b: np.ndarray            # hidden
-    theta_prime: np.ndarray  # hidden x (M*K)
-    b_prime: np.ndarray      # M*K
-    A: np.ndarray            # (M*K) x H
+    theta = _group("theta")              # H x hidden
+    b = _group("b")                      # hidden
+    theta_prime = _group("theta_prime")  # hidden x (M*K)
+    b_prime = _group("b_prime")          # M*K
+    A = _group("A")                      # (M*K) x H
+
+    def __init__(self, scheme, flat=None, dtype=np.float32):
+        """Views over flat (zeros of dtype when None) laid out for scheme."""
+        shapes = self.shapes(scheme)
+        size = self.size(scheme)
+        if flat is None:
+            flat = np.zeros(size, dtype=dtype)
+        if flat.shape != (size,):
+            raise ConfigError(f"parameter buffer has shape {flat.shape}, expected {(size,)}")
+        self._scheme = scheme
+        self._flat = flat
+        self._groups = {}
+        offset = 0
+        for name, shape in shapes.items():
+            count = math.prod(shape)
+            self._groups[name] = flat[offset:offset + count].reshape(shape)
+            offset += count
+
+    @property
+    def flat(self):
+        return self._flat
 
     def items(self):
-        for name in PARAM_NAMES:
-            yield name, getattr(self, name)
+        return self._groups.items()
 
     def astype(self, dtype):
-        return ModelParams(**{name: arr.astype(dtype) for name, arr in self.items()})
+        return ModelParams(self._scheme, self._flat.astype(dtype))
 
     def copy(self):
-        return ModelParams(**{name: arr.copy() for name, arr in self.items()})
+        return ModelParams(self._scheme, self._flat.copy())
 
     @staticmethod
     def shapes(cfg):
@@ -100,6 +129,11 @@ class ModelParams:
             "b_prime": (mk,),
             "A": (mk, cfg.H),
         }
+
+    @staticmethod
+    def size(cfg):
+        """Length of the flat buffer under a scheme."""
+        return sum(math.prod(shape) for shape in ModelParams.shapes(cfg).values())
 
     def validate(self, cfg):
         expect = self.shapes(cfg)
@@ -123,11 +157,11 @@ class ForwardTrace:
 
 @dataclass
 class AdamState:
-    """Adam moment buffers, per-group scratch and hyperparameters. Single-writer."""
+    """Adam moments and scratch, flat like ModelParams.flat. Single-writer."""
 
-    m: dict
-    v: dict
-    work: dict
+    m: np.ndarray
+    v: np.ndarray
+    work: np.ndarray
     t: int = 0
     lr: float = 1e-4
     beta1: float = 0.9
@@ -136,11 +170,11 @@ class AdamState:
 
 
 def new_adam_state(params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Zeroed moments and one scratch array per group, in the parameter dtype."""
+    """Zeroed moments and a scratch buffer, in the parameter dtype."""
     return AdamState(
-        m={name: np.zeros_like(arr) for name, arr in params.items()},
-        v={name: np.zeros_like(arr) for name, arr in params.items()},
-        work={name: np.empty_like(arr) for name, arr in params.items()},
+        m=np.zeros_like(params.flat),
+        v=np.zeros_like(params.flat),
+        work=np.empty_like(params.flat),
         t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
     )
 
@@ -154,45 +188,57 @@ def init_params(cfg, rng, dtype=np.float32):
     """
     hid = cfg.hidden
     mk = cfg.M * cfg.K
+    params = ModelParams(cfg, dtype=dtype)
     s1 = np.sqrt(6.0 / (cfg.H + hid))
-    theta = rng.uniform(-s1, s1, size=(cfg.H, hid)).astype(dtype)
+    params.theta[...] = rng.uniform(-s1, s1, size=(cfg.H, hid))
     s2 = np.sqrt(6.0 / (hid + mk))
-    theta_prime = rng.uniform(-s2, s2, size=(hid, mk)).astype(dtype)
+    params.theta_prime[...] = rng.uniform(-s2, s2, size=(hid, mk))
     s_a = np.sqrt(6.0 / (mk + cfg.H))
-    a = rng.uniform(-s_a, s_a, size=(mk, cfg.H)).astype(dtype)
-    return ModelParams(
-        theta=theta,
-        b=np.zeros(hid, dtype=dtype),
-        theta_prime=theta_prime,
-        b_prime=np.zeros(mk, dtype=dtype),
-        A=a,
-    )
+    params.A[...] = rng.uniform(-s_a, s_a, size=(mk, cfg.H))
+    return params
 
 
-def softmax(x, axis=-1):
-    """Max-subtracted softmax along the given axis."""
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x):
+    """Max-subtracted softmax along the last axis.
+
+    The max runs over a transposed contiguous copy: numpy reduces a short
+    contiguous last axis slowly, and a max is exact in any order. The sum
+    keeps numpy's order along the axis, which fixes the rounding.
+    """
+    k = x.shape[-1]
+    peak = np.ascontiguousarray(x.reshape(-1, k).T).max(axis=0)
+    z = x - peak.reshape(x.shape[:-1] + (1,))
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
-def _require_finite(arr, stage):
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values in forward stage '{stage}'")
+def _raise_first_bad(stages):
+    """NumericError naming the first (stage, array) pair holding a non-finite value."""
+    for stage, arr in stages:
+        if not np.isfinite(arr).all():
+            raise NumericError(f"non-finite values in forward stage '{stage}'")
 
 
-def encode(params, x, cfg):
+def encode(params, x, cfg, check=True):
     """Encoder: hidden layer h (B x hidden) and codeword scores alpha (B x M x K).
 
     alpha is floored at ALPHA_FLOOR. Training's forward pass and code export
     both score words here, so export's argmax sees what training optimised.
+    With check, a non-finite alpha raises NumericError naming 'hidden' or
+    'alpha'; an argmax over alpha would hide it. The soft forward pass
+    checks its loss instead, which any non-finite stage reaches.
     """
-    h = np.tanh(matmul(x, params.theta) + params.b)
-    _require_finite(h, "hidden")
-    raw = matmul(h, params.theta_prime) + params.b_prime
-    alpha = np.maximum(softplus(raw), raw.dtype.type(ALPHA_FLOOR))
+    h = matmul(x, params.theta)
+    h += params.b
+    np.tanh(h, out=h)
+    raw = matmul(h, params.theta_prime)
+    raw += params.b_prime
+    alpha = softplus(raw)
+    np.maximum(alpha, raw.dtype.type(ALPHA_FLOOR), out=alpha)
     alpha = alpha.reshape(x.shape[0], cfg.M, cfg.K)
-    _require_finite(alpha, "alpha")
+    if check and not np.isfinite(alpha).all():
+        _raise_first_bad((("hidden", h), ("alpha", alpha)))
     return h, alpha
 
 
@@ -203,12 +249,13 @@ def forward(params, batch, noise, cfg, hard=False):
     deterministic mode used by validation and export. With hard=True the
     soft assignment is replaced by the exact one-hot at the argmax (ties
     toward the smallest index), which is the reconstruction the discrete
-    codes produce after export.
+    codes produce after export. params must match cfg (ModelParams.validate);
+    the per-step path does not re-check it. A non-finite value raises
+    NumericError naming the first stage that holds one.
     """
     batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] != cfg.H:
         raise ConfigError(f"batch shape {batch.shape} does not match H={cfg.H}")
-    params.validate(cfg)
     bsz = batch.shape[0]
     if noise is not None:
         noise = np.asarray(noise)
@@ -217,79 +264,91 @@ def forward(params, batch, noise, cfg, hard=False):
                 f"noise shape {noise.shape}, expected {(bsz, cfg.M, cfg.K)}"
             )
 
-    h, alpha = encode(params, batch, cfg)
+    h, alpha = encode(params, batch, cfg, check=hard)
     logits = np.log(alpha)
     if noise is not None:
-        logits = logits + noise
-    logits = logits / cfg.tau
+        logits += noise
+    logits /= cfg.tau
     if hard:
         idx = logits.argmax(axis=2)
         d = np.zeros_like(logits)
         np.put_along_axis(d, idx[:, :, None], 1.0, axis=2)
     else:
-        d = softmax(logits, axis=2)
-    _require_finite(d, "assignment")
+        d = softmax(logits)
 
     recon = matmul(d.reshape(bsz, cfg.M * cfg.K), params.A)
-    _require_finite(recon, "reconstruction")
-
-    resid = recon - batch
-    loss = float(np.sum(resid.astype(np.float64) ** 2) / bsz)
-    if not np.isfinite(loss):
+    sq = (recon - batch).astype(np.float64)
+    np.square(sq, out=sq)
+    loss = float(np.sum(sq) / bsz)
+    if not math.isfinite(loss):
+        _raise_first_bad((("hidden", h), ("alpha", alpha), ("assignment", d),
+                          ("reconstruction", recon)))
         raise NumericError("non-finite values in forward stage 'loss'")
     return ForwardTrace(h=h, alpha=alpha, d=d, recon=recon, loss=loss)
 
 
-def backward(params, batch, cfg, trace):
+def backward(params, batch, cfg, trace, grads=None):
     """Analytic gradients of the batch loss for all five parameter groups.
 
-    The softmax Jacobian contracts to d * (g - sum(g * d)) per K-slice; the
-    chain through log(softplus(raw)) simplifies to (1 - exp(-alpha)) / alpha
-    since sigmoid(raw) = 1 - exp(-softplus(raw)). Where the alpha floor is
-    active the gradient is defined as zero.
+    Writes every group of grads (a ModelParams laid out like params; a new
+    one when None) and returns it. The softmax Jacobian contracts to
+    d * (g - sum(g * d)) per K-slice; the chain through log(softplus(raw))
+    simplifies to (1 - exp(-alpha)) / alpha since
+    sigmoid(raw) = 1 - exp(-softplus(raw)). Where the alpha floor is active
+    the gradient is defined as zero.
     """
+    if grads is None:
+        grads = ModelParams(cfg, np.empty_like(params.flat))
     batch = np.asarray(batch)
     bsz = batch.shape[0]
     mk = cfg.M * cfg.K
     d_flat = trace.d.reshape(bsz, mk)
     alpha_flat = trace.alpha.reshape(bsz, mk)
 
-    d_recon = ((2.0 / bsz) * (trace.recon - batch)).astype(batch.dtype)
-    g_a = matmul(d_flat.T, d_recon)
+    d_recon = trace.recon - batch
+    d_recon *= 2.0 / bsz
+    matmul(d_flat.T, d_recon, out=grads.A)
 
-    d_d = matmul(d_recon, params.A.T).reshape(bsz, cfg.M, cfg.K)
+    # d_raw = softmax backward, / tau, then through log(softplus), in place.
+    d_raw = matmul(d_recon, params.A.T)
+    d_d = d_raw.reshape(bsz, cfg.M, cfg.K)
     inner = (d_d * trace.d).sum(axis=2, keepdims=True)
-    d_logits = trace.d * (d_d - inner)
-    d_log_alpha = (d_logits / cfg.tau).reshape(bsz, mk)
-
-    factor = 1.0 - np.exp(-alpha_flat)
+    d_d -= inner
+    d_d *= trace.d
+    d_raw /= cfg.tau
+    factor = np.negative(alpha_flat)
+    np.exp(factor, out=factor)
+    np.subtract(1.0, factor, out=factor)
     factor[alpha_flat <= ALPHA_FLOOR] = 0.0
-    d_raw = (d_log_alpha * factor / alpha_flat).astype(batch.dtype)
+    d_raw *= factor
+    d_raw /= alpha_flat
 
-    g_theta_prime = matmul(trace.h.T, d_raw)
-    g_b_prime = d_raw.sum(axis=0, dtype=np.float64).astype(batch.dtype)
+    matmul(trace.h.T, d_raw, out=grads.theta_prime)
+    grads.b_prime[...] = d_raw.sum(axis=0, dtype=np.float64)
 
-    d_h = matmul(d_raw, params.theta_prime.T)
-    d_pre = (d_h * (1.0 - trace.h ** 2)).astype(batch.dtype)
-    g_theta = matmul(batch.T, d_pre)
-    g_b = d_pre.sum(axis=0, dtype=np.float64).astype(batch.dtype)
+    d_pre = matmul(d_raw, params.theta_prime.T)
+    dtanh = np.square(trace.h)
+    np.subtract(1.0, dtanh, out=dtanh)
+    d_pre *= dtanh
+    matmul(batch.T, d_pre, out=grads.theta)
+    grads.b[...] = d_pre.sum(axis=0, dtype=np.float64)
+    return grads
 
-    return {
-        "theta": g_theta,
-        "b": g_b,
-        "theta_prime": g_theta_prime,
-        "b_prime": g_b_prime,
-        "A": g_a,
-    }
+
+# Adam walks the flat buffers in blocks of this many elements: the five
+# buffers' slices of one block (1.25 MB in float32) stay in a 2 MB L2 cache
+# across its 13 passes, where one pass over paper-shape buffers spills it.
+ADAM_BLOCK = 65_536
 
 
 def adam_step(params, grads, state):
     """One Adam update with bias correction, in place.
 
-    Moments, scratch and parameter arrays are updated in place in the
-    parameter dtype; the arrays bound to params stay the same objects. The
-    bias corrections fold into two Python floats per step, so they do not
-    widen the float32 loops. eps sits outside the square root:
+    Moments, scratch and parameters are updated in place in the parameter
+    dtype, block by block over the flat buffers; the arrays bound to params
+    stay the same objects. The bias corrections fold into two Python floats
+    per step, so they do not widen the float32 loops. eps sits outside the
+    square root:
 
         p -= lr / (1 - beta1^t) * m / (sqrt(v) / sqrt(1 - beta2^t) + eps)
     """
@@ -298,8 +357,11 @@ def adam_step(params, grads, state):
     b1, b2 = state.beta1, state.beta2
     step = state.lr / (1.0 - b1 ** t)
     v_scale = 1.0 / math.sqrt(1.0 - b2 ** t)
-    for name, p in params.items():
-        g, m, v, work = grads[name], state.m[name], state.v[name], state.work[name]
+    flat = params.flat
+    for start in range(0, flat.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        p, g = flat[block], grads.flat[block]
+        m, v, work = state.m[block], state.v[block], state.work[block]
         m *= b1
         np.multiply(g, 1.0 - b1, out=work)
         m += work

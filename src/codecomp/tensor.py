@@ -32,7 +32,7 @@ def new_rng(seed):
     return np.random.default_rng(seed)
 
 
-def matmul(a, b):
+def matmul(a, b, out=None):
     """Matrix product computed by BLAS in the operands' own dtype.
 
     Both operands must be 2-D with matching inner dimension. Float32
@@ -40,7 +40,7 @@ def matmul(a, b):
     output entry is within inner * eps(dtype) * (|a| @ |b|) of the exact
     product (Higham, Accuracy and Stability of Numerical Algorithms, 3.5).
     The output is not scanned for non-finite values; callers check at their
-    own stages.
+    own stages. With out, the product is written there and out is returned.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -48,13 +48,17 @@ def matmul(a, b):
         raise ConfigError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
     if a.shape[1] != b.shape[0]:
         raise ConfigError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return np.matmul(a, b)
+    return np.matmul(a, b, out=out)
 
 
 def softplus(x):
     """log(1 + e^x) with an overflow guard: for x > 30 return x directly."""
     x = np.asarray(x)
-    return np.where(x > 30, x, np.log1p(np.exp(np.minimum(x, 30)))).astype(x.dtype)
+    out = np.minimum(x, 30)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.copyto(out, x, where=x > 30)
+    return out
 
 
 def gumbel_from_uniform(u):
@@ -66,8 +70,13 @@ def gumbel_from_uniform(u):
     floor is unreachable for generator output, whose largest draw is
     1 - 2^-53, so the sample stream is unaffected.
     """
-    u = np.clip(np.asarray(u, dtype=np.float64), GUMBEL_EPS, 1.0 - GUMBEL_EPS)
-    return -np.log(np.maximum(-np.log(u), GUMBEL_EPS))
+    g = np.clip(np.asarray(u, dtype=np.float64), GUMBEL_EPS, 1.0 - GUMBEL_EPS)
+    np.log(g, out=g)
+    np.negative(g, out=g)
+    np.maximum(g, GUMBEL_EPS, out=g)
+    np.log(g, out=g)
+    np.negative(g, out=g)
+    return g
 
 
 def sample_gumbel(rng, rows, cols):

@@ -52,6 +52,8 @@ class TrainConfig:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.validate_every < 1:
             raise ConfigError(f"validate_every must be >= 1, got {self.validate_every}")
+        if self.iterations < 0:
+            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         # iterations = 0 is the degenerate "return the init" case; any positive
         # budget must cover at least one validation checkpoint.
         if self.iterations != 0 and self.iterations < self.validate_every:
@@ -59,8 +61,6 @@ class TrainConfig:
                 f"iterations ({self.iterations}) must be 0 or >= validate_every "
                 f"({self.validate_every})"
             )
-        if self.iterations < 0:
-            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
 
 
 @dataclass
@@ -111,6 +111,7 @@ def train(emb, tc):
     rng = new_rng(tc.seed)
     train_idx, val_idx = split_validation(emb, tc, rng)
     params = init_params(cfg, rng)
+    grads = ModelParams(cfg, np.empty_like(params.flat))
     state = new_adam_state(params, lr=tc.lr)
     x_val = matrix[val_idx]
 
@@ -126,7 +127,7 @@ def train(emb, tc):
         )
         try:
             trace = forward(params, xb, noise, cfg)
-            grads = backward(params, xb, cfg, trace)
+            backward(params, xb, cfg, trace, grads)
             adam_step(params, grads, state)
             val_loss = None
             if it % tc.validate_every == 0:
@@ -161,16 +162,16 @@ def train(emb, tc):
 def save_checkpoint(path, params, cfg, iteration):
     """Write a checkpoint: scheme dims, all five parameter groups, iteration.
 
-    Layout: magic "DCLM", version byte, u32 M/K/H little-endian, then theta,
-    b, theta_prime, b_prime, A as row-major little-endian float32, then a
+    Layout: magic "DCLM", version byte, u32 M/K/H little-endian, then the
+    flat parameter buffer (theta, b, theta_prime, b_prime, A, each
+    row-major) as little-endian float32, then a
     u64 iteration counter (the iteration the saved parameters came from).
     tau is not serialized; code export is temperature-invariant.
     """
     params.validate(cfg)
     with open(path, "wb") as fh:
         fh.write(container.header(CHECKPOINT_MAGIC, cfg.M, cfg.K, cfg.H))
-        for _, arr in params.items():
-            fh.write(container.floats(arr))
+        fh.write(container.floats(params.flat))
         fh.write(struct.pack("<Q", iteration))
 
 
@@ -183,13 +184,11 @@ def load_checkpoint(path):
         cfg = SchemeConfig(M=m, K=k, H=h)
     except ConfigError as exc:
         raise DataError(f"{path}: checkpoint holds invalid scheme: {exc}") from exc
-    arrays = {}
-    for name, shape in ModelParams.shapes(cfg).items():
-        arrays[name], offset = container.read_array(data, offset, shape, path)
+    flat, offset = container.read_array(data, offset, (ModelParams.size(cfg),), path)
     if offset + 8 > len(data):
         raise DataError(
             f"{path}: truncated checkpoint: missing iteration counter "
             f"at offset {offset}"
         )
     (iteration,) = struct.unpack_from("<Q", data, offset)
-    return ModelParams(**arrays), cfg, iteration
+    return ModelParams(cfg, flat), cfg, iteration

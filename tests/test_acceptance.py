@@ -96,7 +96,7 @@ def test_criterion_01_gradients_match_finite_differences():
     worst = 0.0
     for name, arr in params.items():
         flat = arr.reshape(-1)
-        gflat = np.asarray(grads[name]).reshape(-1)
+        gflat = getattr(grads, name).reshape(-1)
         for idx in range(flat.size):
             saved = flat[idx]
             flat[idx] = saved + step

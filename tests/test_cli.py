@@ -388,8 +388,16 @@ class TestAnalysisCommands:
     (["pq", "--M", "2", "--K", "4", "--codes", "{out}", "--threads", "0"], "--threads"),
     (["nn-overlap", "--recon", "{emb}", "--sample", "0"], "--sample"),
     (["nn-overlap", "--recon", "{emb}", "--threads", "-2"], "--threads"),
+    (["train", "--M", "2", "--K", "4", "--iters", "-3", "--out", "{out}"], "--iters"),
+    (["train", "--M", "2", "--K", "4", "--iters", "10", "--out", "{out}", "--seed", "-1"],
+     "--seed"),
+    (["pq", "--M", "2", "--K", "4", "--codes", "{out}", "--seed", "-1"], "--seed"),
+    (["nn-overlap", "--recon", "{emb}", "--seed", "-1"], "--seed"),
+    (["export", "--checkpoint", "{out}", "--codes", "{out}", "--books", "{out}",
+      "--sample-noise-seed", "-1"], "--sample-noise-seed"),
 ], ids=["train-limit-0", "train-limit-neg", "pq-limit-0", "pq-iters-neg", "pq-threads-0",
-        "nn-overlap-sample-0", "nn-overlap-threads-neg"])
+        "nn-overlap-sample-0", "nn-overlap-threads-neg", "train-iters-neg",
+        "train-seed-neg", "pq-seed-neg", "nn-overlap-seed-neg", "export-noise-seed-neg"])
 def test_bad_count_exits_2_naming_the_flag(emb_file, tmp_path, capsys, argv, flag):
     out = tmp_path / "out.bin"
     argv = [a.format(emb=emb_file, out=out) for a in argv]
@@ -418,6 +426,12 @@ class TestEnvironment:
         assert main(["pq", "--emb", str(emb_file), "--M", "2", "--K", "4",
                      "--quiet"]) == 2
         assert "CODECOMP_THREADS" in capsys.readouterr().err
+
+    def test_env_seed_below_zero_exits_2(self, emb_file, monkeypatch, capsys):
+        monkeypatch.setenv("CODECOMP_SEED", "-1")
+        assert main(["pq", "--emb", str(emb_file), "--M", "2", "--K", "4",
+                     "--quiet"]) == 2
+        assert "CODECOMP_SEED" in capsys.readouterr().err
 
     def test_env_threads_below_one_exits_2(self, emb_file, monkeypatch, capsys):
         monkeypatch.setenv("CODECOMP_THREADS", "0")

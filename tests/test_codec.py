@@ -57,12 +57,11 @@ class TestExport:
         # and every word gets the code spelled out by the bias pattern.
         cfg = SchemeConfig(M=2, K=4, H=5)
         params = model.init_params(cfg, tensor.new_rng(0))
-        params.theta = np.zeros_like(params.theta)
-        params.b = np.zeros_like(params.b)
-        b_prime = np.zeros(8, dtype=np.float32)
-        b_prime[2] = 3.0   # book 0: codeword 2 wins
-        b_prime[4 + 1] = 5.0  # book 1: codeword 1 wins
-        params.b_prime = b_prime
+        params.theta[...] = 0
+        params.b[...] = 0
+        params.b_prime[...] = 0
+        params.b_prime[2] = 3.0   # book 0: codeword 2 wins
+        params.b_prime[4 + 1] = 5.0  # book 1: codeword 1 wins
         emb = make_embeddings(6, 5)
         codes, books = export_codes(params, emb, cfg)
         assert np.array_equal(codes.codes, np.tile([2, 1], (6, 1)))
@@ -71,9 +70,9 @@ class TestExport:
     def test_ties_break_to_smallest_index(self):
         cfg = SchemeConfig(M=2, K=4, H=5)
         params = model.init_params(cfg, tensor.new_rng(0))
-        params.theta = np.zeros_like(params.theta)
-        params.b = np.zeros_like(params.b)
-        params.b_prime = np.zeros_like(params.b_prime)
+        params.theta[...] = 0
+        params.b[...] = 0
+        params.b_prime[...] = 0
         codes, _ = export_codes(params, make_embeddings(4, 5), cfg)
         assert np.array_equal(codes.codes, np.zeros((4, 2), dtype=np.int32))
 

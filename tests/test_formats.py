@@ -133,10 +133,7 @@ def test_codebook_file_roundtrip(tmp_path, data):
 @given(st.data())
 def test_checkpoint_roundtrip(tmp_path, data):
     cfg = data.draw(schemes())
-    params = model.ModelParams(**{
-        name: data.draw(finite_arrays(shape))
-        for name, shape in model.ModelParams.shapes(cfg).items()
-    })
+    params = model.ModelParams(cfg, data.draw(finite_arrays((model.ModelParams.size(cfg),))))
     iteration = data.draw(st.integers(0, 2 ** 64 - 1))
     save_checkpoint(tmp_path / "model.ckpt", params, cfg, iteration)
     got, got_cfg, got_iteration = load_checkpoint(tmp_path / "model.ckpt")

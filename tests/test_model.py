@@ -92,8 +92,8 @@ class TestForward:
         cfg = SchemeConfig(M=3, K=4, H=6)
         rng = tensor.new_rng(0)
         params = model.init_params(cfg, rng)
-        params.theta_prime = np.zeros_like(params.theta_prime)
-        params.b_prime = np.zeros_like(params.b_prime)
+        params.theta_prime[...] = 0
+        params.b_prime[...] = 0
         x = rng.standard_normal((5, 6)).astype(np.float32)
         trace = model.forward(params, x, None, cfg)
         assert np.array_equal(trace.d, np.full((5, 3, 4), 0.25, dtype=np.float32))
@@ -102,7 +102,7 @@ class TestForward:
         cfg = SchemeConfig(M=2, K=4, H=5)
         rng = tensor.new_rng(1)
         params = model.init_params(cfg, rng)
-        params.A = np.zeros_like(params.A)
+        params.A[...] = 0
         x = rng.standard_normal((7, 5)).astype(np.float32)
         trace = model.forward(params, x, None, cfg)
         assert np.array_equal(trace.recon, np.zeros((7, 5), dtype=np.float32))
@@ -157,6 +157,33 @@ class TestForward:
         with pytest.raises(NumericError, match="hidden"):
             model.forward(params, bad, None, cfg)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard"])
+    @pytest.mark.parametrize("poison, stage", [
+        ("theta_prime", "alpha"),
+        ("noise", "assignment"),
+        ("A", "reconstruction"),
+    ])
+    def test_non_finite_stage_is_named(self, poison, stage, hard):
+        # Hard mode's argmax turns a non-finite alpha or noise into a finite
+        # one-hot, so only the alpha check can see it there.
+        cfg = SchemeConfig(M=2, K=4, H=5)
+        rng = tensor.new_rng(0)
+        params = model.init_params(cfg, rng)
+        x = rng.standard_normal((3, 5)).astype(np.float32)
+        noise = tensor.sample_gumbel(rng, 3, 8).reshape(3, 2, 4)
+        if poison == "theta_prime":
+            params.theta_prime[0, 0] = np.inf
+        elif poison == "noise":
+            noise[1, 0, 2] = np.nan
+        else:
+            params.A[3, 1] = np.nan
+        if hard and poison == "noise":
+            assert math.isfinite(model.forward(params, x, noise, cfg, hard=True).loss)
+            return
+        with pytest.raises(NumericError, match=f"'{stage}'"):
+            model.forward(params, x, noise, cfg, hard=hard)
+
     def test_hard_mode_assignments_are_exact_one_hots(self):
         cfg = SchemeConfig(M=3, K=8, H=6)
         rng = tensor.new_rng(5)
@@ -175,12 +202,48 @@ class TestForward:
         assert trace.loss >= 0
 
 
+class TestModelParams:
+    def test_groups_are_views_of_one_buffer(self):
+        cfg = SchemeConfig(M=2, K=4, H=3)
+        params = model.init_params(cfg, tensor.new_rng(0))
+        offset = 0
+        for name, arr in params.items():
+            assert arr.base is params.flat, name
+            assert np.array_equal(arr.reshape(-1), params.flat[offset:offset + arr.size])
+            offset += arr.size
+        assert offset == params.flat.size == model.ModelParams.size(cfg)
+        params.A[0, 0] = 7.0
+        assert params.flat[offset - params.A.size] == 7.0
+
+    def test_copy_is_independent(self):
+        cfg = SchemeConfig(M=2, K=4, H=3)
+        params = model.init_params(cfg, tensor.new_rng(0))
+        dup = params.copy()
+        dup.theta[...] = 1.0
+        dup.flat[-1] = 2.0
+        assert not np.shares_memory(dup.flat, params.flat)
+        assert not np.any(params.theta == 1.0)
+        assert params.flat[-1] != 2.0
+        assert dup.theta.base is dup.flat
+
+    @pytest.mark.parametrize("name", [*model.PARAM_NAMES, "flat"])
+    def test_groups_cannot_be_rebound(self, name):
+        cfg = SchemeConfig(M=2, K=4, H=3)
+        params = model.init_params(cfg, tensor.new_rng(0))
+        with pytest.raises(AttributeError):
+            setattr(params, name, np.zeros_like(getattr(params, name)))
+
+    def test_buffer_of_wrong_length_is_rejected(self):
+        cfg = SchemeConfig(M=2, K=4, H=3)
+        with pytest.raises(ConfigError, match="buffer"):
+            model.ModelParams(cfg, np.zeros(model.ModelParams.size(cfg) + 1))
+
+
 class TestBackward:
     def test_zero_point_has_zero_gradients(self):
         cfg = SchemeConfig(M=2, K=4, H=3)
         params = model.init_params(cfg, tensor.new_rng(0))
-        for name, arr in params.items():
-            setattr(params, name, np.zeros_like(arr))
+        params.flat[...] = 0
         x = np.zeros((2, 3), dtype=np.float32)
         trace = model.forward(params, x, None, cfg)
         assert trace.loss == 0.0
@@ -200,8 +263,8 @@ class TestBackward:
         noise2 = np.vstack([noise, noise])
         trace2 = model.forward(params, x2, noise2, cfg)
         grads2 = model.backward(params, x2, cfg, trace2)
-        for name in grads:
-            assert np.allclose(grads[name], grads2[name], rtol=1e-5, atol=1e-8), name
+        for name, g in grads.items():
+            assert np.allclose(g, getattr(grads2, name), rtol=1e-5, atol=1e-8), name
 
 
 class TestAdam:
@@ -210,8 +273,7 @@ class TestAdam:
         params = model.init_params(cfg, tensor.new_rng(0))
         before = params.copy()
         state = model.new_adam_state(params, lr=0.1)
-        zero = {name: np.zeros_like(arr) for name, arr in params.items()}
-        model.adam_step(params, zero, state)
+        model.adam_step(params, model.ModelParams(cfg), state)
         assert state.t == 1
         for name, arr in params.items():
             assert np.array_equal(arr, getattr(before, name)), name
@@ -221,22 +283,22 @@ class TestAdam:
         # -lr / (1 + eps) regardless of the gradient's scale.
         cfg = SchemeConfig(M=1, K=2, H=1)
         params = model.init_params(cfg, tensor.new_rng(0))
-        params.b = np.zeros(1, dtype=np.float32)
+        params.b[...] = 0
         state = model.new_adam_state(params, lr=0.1)
-        grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-        grads["b"] = np.ones(1, dtype=np.float32)
+        grads = model.ModelParams(cfg)
+        grads.b[...] = 1
         model.adam_step(params, grads, state)
         assert float(params.b[0]) == pytest.approx(-0.0999999, abs=1e-6)
 
     def test_two_steps_match_scalar_oracle(self):
         cfg = SchemeConfig(M=1, K=2, H=1)
         params = model.init_params(cfg, tensor.new_rng(0))
-        params.b = np.array([0.5], dtype=np.float32)
+        params.b[...] = 0.5
         state = model.new_adam_state(params, lr=0.05)
         grad_values = [0.3, -0.7]
         for g in grad_values:
-            grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-            grads["b"] = np.array([g], dtype=np.float32)
+            grads = model.ModelParams(cfg)
+            grads.b[...] = g
             model.adam_step(params, grads, state)
         want = scalar_adam_oracle(0.5, grad_values, lr=0.05)
         assert float(params.b[0]) == pytest.approx(want, abs=1e-7)
@@ -248,17 +310,16 @@ class TestAdam:
         before = params.copy()
         arrays = dict(params.items())
         state = model.new_adam_state(params, lr=0.1)
-        buffers = [dict(state.m), dict(state.v), dict(state.work)]
+        buffers = (params.flat, state.m, state.v, state.work)
+        grads = model.ModelParams(cfg)
         for _ in range(3):
-            grads = {name: rng.standard_normal(arr.shape).astype(np.float32)
-                     for name, arr in params.items()}
+            grads.flat[...] = rng.standard_normal(grads.flat.shape)
             model.adam_step(params, grads, state)
         for name, arr in params.items():
             assert arr is arrays[name], name
             assert not np.array_equal(arr, getattr(before, name)), name
-        for saved, live in zip(buffers, (state.m, state.v, state.work)):
-            for name, buf in saved.items():
-                assert live[name] is buf, name
+        for saved, live in zip(buffers, (params.flat, state.m, state.v, state.work)):
+            assert live is saved
 
     def test_float32_tracks_float64_shadow(self):
         # Tolerance fixed from the dtype: each float32 step rounds a
@@ -274,8 +335,8 @@ class TestAdam:
         s32 = model.new_adam_state(p32, lr=lr)
         s64 = model.new_adam_state(p64, lr=lr)
         for _ in range(steps):
-            g64 = {name: rng.standard_normal(arr.shape) for name, arr in p64.items()}
-            g32 = {name: g.astype(np.float32) for name, g in g64.items()}
+            g64 = model.ModelParams(cfg, rng.standard_normal(p64.flat.shape))
+            g32 = g64.astype(np.float32)
             model.adam_step(p64, g64, s64)
             model.adam_step(p32, g32, s32)
         for name, arr in p32.items():
@@ -287,16 +348,15 @@ class TestAdam:
     def test_float64_params_stay_float64(self):
         cfg = SchemeConfig(M=1, K=2, H=1)
         params = model.init_params(cfg, tensor.new_rng(0), dtype=np.float64)
-        params.b = np.array([0.5])
+        params.b[...] = 0.5
         state = model.new_adam_state(params, lr=0.05)
         grad_values = [0.3, -0.7]
         for g in grad_values:
-            grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-            grads["b"] = np.array([g])
+            grads = model.ModelParams(cfg, dtype=np.float64)
+            grads.b[...] = g
             model.adam_step(params, grads, state)
-        for name, arr in params.items():
-            for group in (arr, state.m[name], state.v[name], state.work[name]):
-                assert group.dtype == np.float64, name
+        for buf in (params.flat, state.m, state.v, state.work):
+            assert buf.dtype == np.float64
         # Float64 arithmetic matches the oracle far below float32 precision.
         want = scalar_adam_oracle(0.5, grad_values, lr=0.05)
         assert float(params.b[0]) == pytest.approx(want, abs=1e-14)
