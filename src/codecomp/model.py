@@ -64,58 +64,50 @@ class SchemeConfig:
         return self.M * (self.K.bit_length() - 1)
 
 
-def _group(name):
-    return property(lambda self: self._groups[name],
-                    doc=f"View of {name} in the flat buffer; cannot be rebound.")
-
-
 class ModelParams:
     """Encoder weights and the stacked codebook matrix in one flat buffer.
 
     flat holds theta, b, theta_prime, b_prime and A back to back, row-major,
     in PARAM_NAMES order; each group is a view of its slice, so writing into
-    a group writes into flat. The groups cannot be rebound. Gradients and
-    Adam's moments share this layout, so Adam runs over flat arrays.
+    a group writes into flat. No attribute can be rebound, so the views stay
+    on the buffer. Gradients and Adam's moments share this layout, so Adam
+    runs over flat arrays.
 
     A is (M*K) x H with rows [i*K, (i+1)*K) forming codebook i, so a soft
     assignment flattened to (B, M*K) reconstructs as a single matrix product.
+    Group shapes: theta H x hidden, b hidden, theta_prime hidden x (M*K),
+    b_prime M*K, A (M*K) x H.
     """
-
-    theta = _group("theta")              # H x hidden
-    b = _group("b")                      # hidden
-    theta_prime = _group("theta_prime")  # hidden x (M*K)
-    b_prime = _group("b_prime")          # M*K
-    A = _group("A")                      # (M*K) x H
 
     def __init__(self, scheme, flat=None, dtype=np.float32):
         """Views over flat (zeros of dtype when None) laid out for scheme."""
-        shapes = self.shapes(scheme)
         size = self.size(scheme)
         if flat is None:
             flat = np.zeros(size, dtype=dtype)
         if flat.shape != (size,):
             raise ConfigError(f"parameter buffer has shape {flat.shape}, expected {(size,)}")
-        self._scheme = scheme
-        self._flat = flat
-        self._groups = {}
+        views = {}
         offset = 0
-        for name, shape in shapes.items():
+        for name, shape in self.shapes(scheme).items():
             count = math.prod(shape)
-            self._groups[name] = flat[offset:offset + count].reshape(shape)
+            views[name] = flat[offset:offset + count].reshape(shape)
             offset += count
+        # Plain attributes (fast to read), set past __setattr__.
+        self.__dict__.update(views, flat=flat, scheme=scheme)
 
-    @property
-    def flat(self):
-        return self._flat
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"ModelParams.{name} cannot be rebound; write into it instead"
+        )
 
     def items(self):
-        return self._groups.items()
+        return ((name, self.__dict__[name]) for name in PARAM_NAMES)
 
     def astype(self, dtype):
-        return ModelParams(self._scheme, self._flat.astype(dtype))
+        return ModelParams(self.scheme, self.flat.astype(dtype))
 
     def copy(self):
-        return ModelParams(self._scheme, self._flat.copy())
+        return ModelParams(self.scheme, self.flat.copy())
 
     @staticmethod
     def shapes(cfg):

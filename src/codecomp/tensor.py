@@ -54,7 +54,7 @@ def matmul(a, b, out=None):
 def softplus(x):
     """log(1 + e^x) with an overflow guard: for x > 30 return x directly."""
     x = np.asarray(x)
-    out = np.minimum(x, 30)
+    out = np.minimum(x, 30, out=np.empty_like(x))
     np.exp(out, out=out)
     np.log1p(out, out=out)
     np.copyto(out, x, where=x > 30)

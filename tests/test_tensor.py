@@ -73,6 +73,7 @@ class TestElementwise:
     def test_softplus_zero_is_log_two(self):
         out = tensor.softplus(np.array([0.0], dtype=np.float32))
         assert out[0] == pytest.approx(0.6931472, abs=1e-7)
+        assert tensor.softplus(np.float32(0.0)) == out[0]
 
     def test_softplus_large_linear(self):
         # log(1 + e^40) = 40 + log(1 + e^-40); the correction is ~4e-18.
