@@ -279,18 +279,16 @@ def forward(params, batch, noise, cfg, hard=False):
     return ForwardTrace(h=h, alpha=alpha, d=d, recon=recon, loss=loss)
 
 
-def backward(params, batch, cfg, trace, grads=None):
+def backward(params, batch, cfg, trace, grads):
     """Analytic gradients of the batch loss for all five parameter groups.
 
-    Writes every group of grads (a ModelParams laid out like params; a new
-    one when None) and returns it. The softmax Jacobian contracts to
+    Writes every group of grads, a ModelParams laid out like params, and
+    returns it. The softmax Jacobian contracts to
     d * (g - sum(g * d)) per K-slice; the chain through log(softplus(raw))
     simplifies to (1 - exp(-alpha)) / alpha since
     sigmoid(raw) = 1 - exp(-softplus(raw)). Where the alpha floor is active
     the gradient is defined as zero.
     """
-    if grads is None:
-        grads = ModelParams(cfg, np.empty_like(params.flat))
     batch = np.asarray(batch)
     bsz = batch.shape[0]
     mk = cfg.M * cfg.K

@@ -89,7 +89,8 @@ def test_criterion_01_gradients_match_finite_differences():
     noise = tensor.gumbel_from_uniform(rng.random((3, 3, 4)))
 
     trace = model.forward(params, batch, noise, cfg)
-    grads = model.backward(params, batch, cfg, trace)
+    grads = model.backward(params, batch, cfg, trace,
+                           model.ModelParams(cfg, dtype=np.float64))
 
     step = 1e-3
     failures = []
