@@ -69,8 +69,8 @@ class ModelParams:
 
     flat holds theta, b, theta_prime, b_prime and A back to back, row-major,
     in PARAM_NAMES order; each group is a view of its slice, so writing into
-    a group writes into flat. No attribute can be rebound, so the views stay
-    on the buffer. Gradients and Adam's moments share this layout, so Adam
+    a group writes into flat; scheme is the SchemeConfig the layout follows.
+    No attribute can be rebound, so the views stay on the buffer. Gradients and Adam's moments share this layout, so Adam
     runs over flat arrays.
 
     A is (M*K) x H with rows [i*K, (i+1)*K) forming codebook i, so a soft
