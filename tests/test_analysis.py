@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from codecomp.codec import CodeMatrix, compose_embedding, reconstruct_all
 from codecomp.embeddings import EmbeddingMatrix
 from codecomp.errors import ConfigError
 from codecomp.model import SchemeConfig
+from codecomp.synthetic import synthetic_embeddings
 
 
 def random_embeddings(vocab_size, dim, seed):
@@ -238,6 +240,68 @@ class TestPqBaseline:
         emb = random_embeddings(3, 8, seed=0)
         with pytest.raises(ConfigError):
             pq_baseline(emb, M=2, K=4)
+
+
+def tie_heavy_embeddings():
+    # Values on a 0.5 grid, 120 rows drawn from 40 distinct ones: many exact
+    # distance ties between words and centroids.
+    rng = tensor.new_rng(12)
+    base = np.round(rng.standard_normal((40, 12)) * 2) / 2
+    matrix = base[rng.integers(0, 40, size=120)].astype(np.float32)
+    return EmbeddingMatrix(vocab=[f"w{i}" for i in range(120)], matrix=matrix)
+
+
+# name -> (embeddings factory, M, K, codes sha256, codebooks sha256, repr(loss))
+PQ_GOLDEN = {
+    "m20_k16_h300": (
+        lambda: synthetic_embeddings(M=8, K=16, H=300, vocab_size=1000,
+                                     noise_std=0.1, seed=0)[0],
+        20, 16,
+        "8d0f3929c90af4c9fec69868c664ceef47a79fd1e3050625249fb9944631b3fd",
+        "11e9244e7c43e30e52de2cbe2a8ce35e67633323a070a5e27f08e57617f0e916",
+        "505.47064985507114",
+    ),
+    "m4_k8_h16": (
+        lambda: synthetic_embeddings(M=4, K=8, H=16, vocab_size=200,
+                                     noise_std=0.1, seed=4)[0],
+        4, 8,
+        "db2863cf970d31bfe3e7f37f5f4aa15dd1aa37f03baa4ff45173e7e9c79cfdc7",
+        "5712aed3998dfacd35bf3b6e397cd10f01b5191762ecb405d78c6aecc5fba4ea",
+        "7.13204774514272",
+    ),
+    "m16_k4_h300_indivisible": (
+        lambda: synthetic_embeddings(M=4, K=8, H=300, vocab_size=64,
+                                     noise_std=0.1, seed=7)[0],
+        16, 4,
+        "dd55c2aaf9e58d624d9ee93ecdfa56d1135e737140d39a07f0995208730206d7",
+        "5b5dabfd931ddeebec6f71c35c5cfda746b3ee16c1b245eb110646b9212d24ce",
+        "255.58063098697104",
+    ),
+    "tie_heavy": (
+        tie_heavy_embeddings,
+        3, 8,
+        "f323728af512c8e9e9878823e15b0a2812e7a4a34daec8409f25849a020f756c",
+        "6bd84ba0b4a04a299310a611440f2c0312ed77eb59a149bce6ce94a1bb35bc8f",
+        "3.6097491825984473",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PQ_GOLDEN))
+def test_pq_golden(name):
+    """PQ codes, codebook bytes and loss are pinned on fixed inputs.
+
+    The digests were pinned with numpy 2.4.6 (scipy-openblas 0.3.31). They
+    are only meaningful on a build that rounds like that one: every distance
+    that decides an assignment, and every centroid mean, is a float64
+    reduction inside numpy, whose summation order is a numpy implementation
+    detail. The BLAS build does not decide any of these bytes.
+    """
+    make, M, K, codes_sha, books_sha, loss_repr = PQ_GOLDEN[name]
+    codes, books, loss = pq_baseline(make(), M, K, seed=5)
+    assert hashlib.sha256(codes.codes.tobytes()).hexdigest() == codes_sha
+    assert hashlib.sha256(books.vectors.tobytes()).hexdigest() == books_sha
+    assert repr(loss) == loss_repr
 
 
 class TestNeighborOverlap:
