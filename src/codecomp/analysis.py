@@ -12,10 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Codebooks, CodeMatrix
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .tensor import new_rng
 
 _OVERLAP_CHUNK = 256
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -151,12 +152,55 @@ def _map(fn, items, threads):
     return [fn(item) for item in items]
 
 
+def _nearest(block, xx, xn, centroids):
+    """Index of each row's nearest centroid, exactly as the broadcast argmin.
+
+    The result equals ((block[:, None, :] - centroids[None]) ** 2)
+    .sum(axis=2).argmin(axis=1), ties included (lowest index wins), without
+    forming that (n, K, d) temporary for most rows. xx holds the rows'
+    squared norms and xn their square roots; all arrays are float64.
+
+    One GEMM screens: approx = ||x||^2 - 2 x.c + ||c||^2, laid out K x n so
+    every reduction runs across rows, not along the short K axis. Let
+    D = ||x - c||^2 and u = eps / 2 the unit roundoff. The broadcast sum
+    of d non-negative rounded squares is within about (d + 2) u D of D.
+    The GEMM form's three inner products (xx, x.c, cc) are each within d u
+    times the sum of their absolute terms; with x.c's taken twice, those
+    sums add up to at most (||x|| + ||c||)^2 by Cauchy-Schwarz. Its two
+    additions add at most 2 u (||x|| + ||c||)^2. This holds for any BLAS
+    summation order, blocking or FMA. So to first order both are within
+    (d + 2) u (||x|| + ||c||)^2 of D and within (d + 2) eps (||x|| +
+    ||c||)^2 of each other; tol = 4 (d + 2) eps (xn + max ||c||)^2 is four
+    times that, leaving room for the rounding of xn and cc. If j is the
+    broadcast argmin and b the screened best, approx[j] <= broadcast[j] +
+    tol / 4 <= broadcast[b] + tol / 4 <= approx[b] + tol / 2, so j lies
+    within best + 2 * tol. A row with a single centroid in that window
+    therefore has it as its exact argmin; rows with more are re-scored
+    with the broadcast.
+    """
+    cc = np.einsum("ij,ij->i", centroids, centroids)
+    approx = centroids @ block.T
+    approx *= -2.0
+    approx += cc[:, None]
+    approx += xx
+    tol = 4 * (block.shape[1] + 2) * _EPS * (xn + np.sqrt(cc.max())) ** 2
+    within = approx <= approx.min(axis=0) + 2 * tol
+    # Where a row has one centroid in the window, this is its index.
+    nearest = (np.arange(len(cc), dtype=np.float64) @ within).astype(np.intp)
+    ambiguous = np.flatnonzero(np.count_nonzero(within, axis=0) > 1)
+    if ambiguous.size:
+        exact = ((block[ambiguous][:, None, :] - centroids[None]) ** 2).sum(axis=2)
+        nearest[ambiguous] = exact.argmin(axis=1)
+    return nearest
+
+
 def _kmeans_block(block, K, iterations, rng):
     """Lloyd's algorithm with k-means++ seeding on one dimension block.
 
     Empty clusters are repaired by splitting the largest cluster: the empty
     centroid moves to that cluster's farthest member, which is reassigned to
     it. Every phase is non-increasing in within-cluster squared distance.
+    Assignments come from _nearest, so they are the exact broadcast argmin.
     """
     n = block.shape[0]
     centroids = np.zeros((K, block.shape[1]))
@@ -168,9 +212,10 @@ def _kmeans_block(block, K, iterations, rng):
         centroids[k] = block[rng.choice(n, p=probs)]
         d2 = np.minimum(d2, ((block - centroids[k]) ** 2).sum(axis=1))
 
+    xx = np.einsum("ij,ij->i", block, block)
+    xn = np.sqrt(xx)
     for _ in range(iterations):
-        dist = ((block[:, None, :] - centroids[None]) ** 2).sum(axis=2)
-        assign = dist.argmin(axis=1)
+        assign = _nearest(block, xx, xn, centroids)
         counts = np.bincount(assign, minlength=K)
         for empty in np.flatnonzero(counts == 0):
             largest = counts.argmax()
@@ -181,12 +226,17 @@ def _kmeans_block(block, K, iterations, rng):
             assign[victim] = empty
             counts[largest] -= 1
             counts[empty] += 1
-        for k in range(K):
-            if counts[k]:
-                centroids[k] = block[assign == k].mean(axis=0)
+        # Bit for bit block[assign == k].mean(axis=0): the stable sort keeps
+        # each cluster's rows in index order, and mean is add.reduce over
+        # them divided by the count.
+        grouped = block[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(counts)
+        filled = np.flatnonzero(counts)
+        for k in filled:
+            np.add.reduce(grouped[ends[k] - counts[k]:ends[k]], axis=0, out=centroids[k])
+        centroids[filled] /= counts[filled, None]
 
-    dist = ((block[:, None, :] - centroids[None]) ** 2).sum(axis=2)
-    assign = dist.argmin(axis=1)
+    assign = _nearest(block, xx, xn, centroids)
     sse = float(((block - centroids[assign]) ** 2).sum())
     return assign, centroids, sse
 
@@ -202,7 +252,8 @@ def pq_baseline(emb, M, K, iterations=25, seed=0, threads=1):
     reproduces the PQ reconstruction exactly. Loss uses the training
     convention: squared L2 summed over dimensions, averaged over words.
     Blocks get independently spawned generators, so results do not depend
-    on the thread count.
+    on the thread count. A word with a NaN or infinite value raises
+    DataError naming it before any clustering.
     """
     matrix = emb.matrix
     vocab_size, dim = matrix.shape
@@ -212,6 +263,13 @@ def pq_baseline(emb, M, K, iterations=25, seed=0, threads=1):
         raise ConfigError(f"K must be a power of 2 and >= 2, got {K}")
     if vocab_size < K:
         raise ConfigError(f"need at least K={K} words, got {vocab_size}")
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        row = int(finite.argmin())
+        raise DataError(
+            f"word {emb.vocab[row]!r} (row {row}) has a non-finite value; "
+            "PQ needs finite embeddings"
+        )
     blocks = [(cols[0], cols[-1] + 1) for cols in np.array_split(np.arange(dim), M)]
     block_rngs = new_rng(seed).spawn(M)
 

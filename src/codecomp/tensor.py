@@ -28,7 +28,10 @@ def new_rng(seed):
 
     The generator algorithm is part of the determinism contract: identical
     seeds yield identical sample streams across runs of the same build.
+    A seed that is not a non-negative integer raises ConfigError.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(seed)
 
 

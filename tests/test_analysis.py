@@ -1,11 +1,15 @@
 import hashlib
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from codecomp import tensor
 from codecomp.analysis import (
+    _kmeans_block,
+    _nearest,
     balance_table,
     format_pairs,
     neighbor_overlap,
@@ -16,7 +20,7 @@ from codecomp.analysis import (
 )
 from codecomp.codec import CodeMatrix, compose_embedding, reconstruct_all
 from codecomp.embeddings import EmbeddingMatrix
-from codecomp.errors import ConfigError
+from codecomp.errors import ConfigError, DataError
 from codecomp.model import SchemeConfig
 from codecomp.synthetic import synthetic_embeddings
 
@@ -240,6 +244,116 @@ class TestPqBaseline:
         emb = random_embeddings(3, 8, seed=0)
         with pytest.raises(ConfigError):
             pq_baseline(emb, M=2, K=4)
+
+    def test_non_finite_word_is_named_before_clustering(self):
+        emb = random_embeddings(30, 8, seed=0)
+        emb.matrix[7, 3] = np.nan
+        emb.matrix[12, 0] = np.inf
+        with pytest.raises(DataError, match=r"'w7' \(row 7\)"):
+            pq_baseline(emb, M=2, K=4)
+
+
+def test_negative_seed_is_a_config_error():
+    emb = random_embeddings(30, 8, seed=0)
+    with pytest.raises(ConfigError, match="-1"):
+        pq_baseline(emb, 2, 4, seed=-1)
+    with pytest.raises(ConfigError, match="-1"):
+        neighbor_overlap(emb, emb, k=2, sample=5, seed=-1)
+
+
+def broadcast_nearest(block, centroids):
+    return ((block[:, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
+
+
+def clustering_case(seed, n, d, K, log_scale, grid):
+    """A float64 block and centroids full of exact and near ties.
+
+    Rows repeat, some rows are zero, and rows span four decades of scale
+    around 10**log_scale; with grid, values sit on a coarse grid so distinct
+    pairs tie exactly. Centroids are copies of rows (distance exactly 0),
+    with duplicates among them, and mirrored pairs x + v, x - v around a
+    row x with a small v: equally far from x in exact arithmetic, so the
+    GEMM form cannot rank them and only the exact re-score can.
+    """
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((n, d))
+    if grid:
+        block = np.round(block * 2) / 2
+    block *= 10.0 ** (log_scale + rng.uniform(-2, 2, size=(n, 1)))
+    block = block[rng.integers(0, n, size=n)]
+    block[rng.random(n) < 0.1] = 0.0
+    centroids = block[rng.integers(0, n, size=K)]
+    for i in range(0, K - 1, 4):
+        x = block[rng.integers(0, n)]
+        v = rng.standard_normal(d) * 10.0 ** rng.uniform(-6, -1) * (np.abs(x).max() + 1e-3)
+        centroids[i], centroids[i + 1] = x + v, x - v
+    centroids[rng.random(K) < 0.2] = centroids[0]
+    return block, centroids
+
+
+class TestNearest:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           d=st.integers(1, 24), K=st.sampled_from([2, 3, 4, 8, 16, 64]),
+           log_scale=st.integers(-4, 4), grid=st.booleans())
+    def test_equals_broadcast_argmin(self, seed, n, d, K, log_scale, grid):
+        block, centroids = clustering_case(seed, n, d, K, log_scale, grid)
+        xx = (block * block).sum(axis=1)
+        got = _nearest(block, xx, np.sqrt(xx), centroids)
+        assert np.array_equal(got, broadcast_nearest(block, centroids))
+
+    def test_identical_centroids_take_the_lower_index(self):
+        # Centroids 1 and 2 are equal, so every row ties between them and
+        # must be re-scored exactly; argmin's lowest index wins.
+        block = np.array([[1.0, 0.0], [0.0, 1.0], [0.4, 0.6], [0.0, 0.0]])
+        centroids = np.array([[9.0, 9.0], [0.5, 0.5], [0.5, 0.5]])
+        xx = (block * block).sum(axis=1)
+        got = _nearest(block, xx, np.sqrt(xx), centroids)
+        assert got.tolist() == [1, 1, 1, 1]
+
+
+def reference_kmeans(block, K, iterations, rng):
+    """Lloyd's algorithm with the full (n, K, d) broadcast distance."""
+    n = block.shape[0]
+    centroids = np.zeros((K, block.shape[1]))
+    centroids[0] = block[rng.integers(0, n)]
+    d2 = ((block - centroids[0]) ** 2).sum(axis=1)
+    for k in range(1, K):
+        total = d2.sum()
+        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
+        centroids[k] = block[rng.choice(n, p=probs)]
+        d2 = np.minimum(d2, ((block - centroids[k]) ** 2).sum(axis=1))
+    for _ in range(iterations):
+        assign = broadcast_nearest(block, centroids)
+        counts = np.bincount(assign, minlength=K)
+        for empty in np.flatnonzero(counts == 0):
+            largest = counts.argmax()
+            members = np.flatnonzero(assign == largest)
+            spread = ((block[members] - centroids[largest]) ** 2).sum(axis=1)
+            victim = members[spread.argmax()]
+            centroids[empty] = block[victim]
+            assign[victim] = empty
+            counts[largest] -= 1
+            counts[empty] += 1
+        for k in range(K):
+            if counts[k]:
+                centroids[k] = block[assign == k].mean(axis=0)
+    assign = broadcast_nearest(block, centroids)
+    sse = float(((block - centroids[assign]) ** 2).sum())
+    return assign, centroids, sse
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 80),
+       d=st.integers(1, 20), K=st.sampled_from([2, 4, 8, 16]),
+       log_scale=st.integers(-4, 4), grid=st.booleans())
+def test_kmeans_matches_broadcast_lloyd_bit_for_bit(seed, n, d, K, log_scale, grid):
+    block, _ = clustering_case(seed, n, d, K, log_scale, grid)
+    got = _kmeans_block(block, K, 6, tensor.new_rng(seed))
+    want = reference_kmeans(block, K, 6, tensor.new_rng(seed))
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+    assert repr(got[2]) == repr(want[2])
 
 
 def tie_heavy_embeddings():

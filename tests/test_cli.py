@@ -377,6 +377,16 @@ class TestAnalysisCommands:
         assert codes.vocab_size == 60
         assert len(vocab) == 60
 
+    def test_pq_on_non_finite_input_exits_3_naming_the_word(self, tmp_path, capsys):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 2.0\nb 0.5 nan\nc 3.0 1.0\nd 0.5 0.5\n")
+        assert main(["pq", "--emb", str(path), "--M", "1", "--K", "2",
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "'b' (row 1)" in err
+        assert "non-finite" in err
+        assert "codebooks" not in err
+
 
 @pytest.mark.parametrize("argv, flag", [
     (["train", "--M", "2", "--K", "4", "--iters", "10", "--out", "{out}", "--limit", "0"],

@@ -121,3 +121,11 @@ class TestRng:
         a = tensor.new_rng(7).random(100)
         b = tensor.new_rng(8).random(100)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_is_a_config_error(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            tensor.new_rng(seed)
+
+    def test_numpy_integer_seed(self):
+        assert tensor.new_rng(np.int64(7)).random() == tensor.new_rng(7).random()

@@ -168,6 +168,10 @@ class TestTrain:
         p2, _ = train(emb, small_config(seed=2))
         assert not np.array_equal(p1.theta, p2.theta)
 
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="-1"):
+            train(small_embeddings(), small_config(seed=-1))
+
     def test_training_reduces_validation_loss(self):
         emb, _, _ = synthetic_embeddings(M=2, K=4, H=8, vocab_size=300,
                                          noise_std=0.05, seed=3)
