@@ -17,7 +17,6 @@ from .analysis import (
 from .codec import (
     CodeMatrix,
     Codebooks,
-    compose_embedding,
     export_codes,
     pack_codes,
     read_code_file,

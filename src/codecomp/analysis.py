@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Codebooks, CodeMatrix
-from .errors import ConfigError, DataError
+from .errors import ConfigError
+from .model import check_k
 from .tensor import new_rng
 
 _OVERLAP_CHUNK = 256
@@ -248,7 +249,7 @@ def pq_baseline(emb, M, K, iterations=25, seed=0, threads=1):
     each when M divides H, otherwise the first H mod M blocks are one wider.
     Each block is clustered into K centroids and a word's code component i
     is its cluster in block i. Returned codebooks embed the centroids in
-    full-width vectors zero-padded outside their block, so compose_embedding
+    full-width vectors zero-padded outside their block, so reconstruct_all
     reproduces the PQ reconstruction exactly. Loss uses the training
     convention: squared L2 summed over dimensions, averaged over words.
     Blocks get independently spawned generators, so results do not depend
@@ -259,17 +260,10 @@ def pq_baseline(emb, M, K, iterations=25, seed=0, threads=1):
     vocab_size, dim = matrix.shape
     if not 1 <= M <= dim:
         raise ConfigError(f"M must be between 1 and H={dim}, got {M}")
-    if K < 2 or (K & (K - 1)) != 0:
-        raise ConfigError(f"K must be a power of 2 and >= 2, got {K}")
+    check_k(K)
     if vocab_size < K:
         raise ConfigError(f"need at least K={K} words, got {vocab_size}")
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        row = int(finite.argmin())
-        raise DataError(
-            f"word {emb.vocab[row]!r} (row {row}) has a non-finite value; "
-            "PQ needs finite embeddings"
-        )
+    emb.require_finite("PQ")
     blocks = [(cols[0], cols[-1] + 1) for cols in np.array_split(np.arange(dim), M)]
     block_rngs = new_rng(seed).spawn(M)
 
@@ -297,6 +291,14 @@ def _normalize_rows(matrix):
     return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
 
+def _check_pair(original, recon, consumer):
+    """Two matrices to compare: the same words in order, every value finite."""
+    if original.vocab != recon.vocab:
+        raise ConfigError(f"{consumer} needs identical vocabularies in order")
+    original.require_finite(consumer)
+    recon.require_finite(consumer)
+
+
 def neighbor_overlap(original, recon, k, sample, seed=0, threads=1):
     """Mean fraction of shared top-k cosine neighbors over sampled queries.
 
@@ -304,8 +306,7 @@ def neighbor_overlap(original, recon, k, sample, seed=0, threads=1):
     drawn without replacement from a seeded generator. Chunked evaluation
     has fixed boundaries, so any thread count gives identical results.
     """
-    if original.vocab != recon.vocab:
-        raise ConfigError("neighbor_overlap needs identical vocabularies in order")
+    _check_pair(original, recon, "neighbor overlap")
     vocab_size = original.vocab_size
     if k >= vocab_size:
         raise ConfigError(f"k={k} must be smaller than the vocabulary ({vocab_size})")
@@ -346,8 +347,7 @@ def reconstruction_report(original, recon):
     mse follows the training convention (squared L2 summed over dimensions,
     averaged over words). Cosines of exactly-zero rows count as 0.
     """
-    if original.vocab != recon.vocab:
-        raise ConfigError("reconstruction_report needs identical vocabularies in order")
+    _check_pair(original, recon, "the reconstruction report")
     if original.dim != recon.dim:
         raise ConfigError(
             f"dimension mismatch: {original.dim} vs {recon.dim}"

@@ -20,23 +20,28 @@ from .tensor import new_rng
 log = logging.getLogger("codecomp.cli")
 
 
-def _env_int(name, default, minimum=None):
+def _count(minimum):
+    """argparse type: an int >= minimum; argparse exits 2 naming the flag."""
+    def int_at_least(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    int_at_least.__name__ = "int"  # so a non-integer reads "invalid int value"
+    return int_at_least
+
+
+def _env_int(name, default, minimum):
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"environment variable {name}={raw!r} is not an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"environment variable {name}={raw!r} must be >= {minimum}")
-    return value
-
-
-def _require_at_least(flag, value, minimum):
-    """Reject a count below its minimum; None means the flag was not given."""
-    if value is not None and value < minimum:
-        raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
+        return _count(minimum)(raw)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(
+            f"environment variable {name}={raw!r} must be an integer >= {minimum}"
+        ) from exc
 
 
 def _read_embeddings(path, limit=None):
@@ -67,14 +72,7 @@ def _load_recon(args):
     raise ConfigError("need either --recon or both --codes and --books")
 
 
-def _print(text):
-    sys.stdout.write(text)
-
-
 def cmd_train(args):
-    _require_at_least("--limit", args.limit, 1)
-    _require_at_least("--iters", args.iters, 0)
-    _require_at_least("--seed", args.seed, 0)
     emb = _read_embeddings(args.emb, limit=args.limit)
     cfg = SchemeConfig(M=args.M, K=args.K, H=emb.dim, tau=args.tau)
     tc = trainer.TrainConfig(
@@ -94,8 +92,7 @@ def cmd_train(args):
             trainer.save_checkpoint(args.out, exc.params, cfg, best)
             log.error("kept last-good checkpoint at %s", args.out)
         raise
-    iteration = report.best_iteration if report.best_iteration is not None else 0
-    trainer.save_checkpoint(args.out, params, cfg, iteration)
+    trainer.save_checkpoint(args.out, params, cfg, report.best_iteration)
     pairs = [
         ("iterations_run", report.iterations_run),
         ("best_val_loss", report.best_val_loss),
@@ -105,25 +102,20 @@ def cmd_train(args):
     ]
     if report.val_loss_history:
         pairs.insert(2, ("final_val_loss", report.val_loss_history[-1][1]))
-    _print(analysis.format_pairs(pairs, args.format))
+    sys.stdout.write(analysis.format_pairs(pairs, args.format))
     return 0
 
 
 def cmd_export(args):
-    _require_at_least("--sample-noise-seed", args.sample_noise_seed, 0)
     params, cfg, _ = trainer.load_checkpoint(args.checkpoint)
     emb = _read_embeddings(args.emb)
-    if emb.dim != cfg.H:
-        raise ConfigError(
-            f"checkpoint H={cfg.H} does not match embedding dimension {emb.dim}"
-        )
     noise_rng = None
     if args.sample_noise_seed is not None:
         noise_rng = new_rng(args.sample_noise_seed)
     codes, books = codec.export_codes(params, emb, cfg, noise_rng=noise_rng)
     codec.write_code_file(args.codes, codes, emb.vocab)
     codec.write_codebook_file(args.books, books)
-    _print(analysis.format_pairs(
+    sys.stdout.write(analysis.format_pairs(
         [("words", codes.vocab_size), ("M", cfg.M), ("K", cfg.K),
          ("bits_per_word", codes.bits_per_word), ("codes", args.codes),
          ("books", args.books)],
@@ -133,9 +125,7 @@ def cmd_export(args):
 
 
 def cmd_reconstruct(args):
-    codes, vocab = codec.read_code_file(args.codes)
-    books = codec.read_codebook_file(args.books)
-    emb = codec.reconstruct_all(codes, books, vocab)
+    emb = _load_recon(args)
     if args.out_format == "binary":
         embeddings.write_binary_matrix(emb, args.out)
     else:
@@ -144,7 +134,7 @@ def cmd_reconstruct(args):
     if args.ref:
         ref = _read_embeddings(args.ref)
         report = analysis.reconstruction_report(ref, emb)
-        _print(analysis.format_pairs(list(report.items()), args.format))
+        sys.stdout.write(analysis.format_pairs(list(report.items()), args.format))
     return 0
 
 
@@ -152,7 +142,7 @@ def cmd_stats(args):
     original = _read_embeddings(args.emb)
     recon = _load_recon(args)
     report = analysis.reconstruction_report(original, recon)
-    _print(analysis.format_pairs(list(report.items()), args.format))
+    sys.stdout.write(analysis.format_pairs(list(report.items()), args.format))
     return 0
 
 
@@ -160,9 +150,9 @@ def cmd_balance(args):
     codes, _ = codec.read_code_file(args.codes)
     table = analysis.balance_table(codes)
     if args.format == "csv":
-        _print(table.to_csv())
+        sys.stdout.write(table.to_csv())
     else:
-        _print(analysis.format_pairs(table.as_pairs(), args.format))
+        sys.stdout.write(analysis.format_pairs(table.as_pairs(), args.format))
     return 0
 
 
@@ -175,25 +165,22 @@ def cmd_shared(args):
             pairs.append((f"group.{i}.code", "-".join(str(c) for c in code)))
             pairs.append((f"group.{i}.size", len(words)))
             pairs.append((f"group.{i}.words", " ".join(words)))
-        _print(analysis.format_pairs(pairs, "kv"))
+        sys.stdout.write(analysis.format_pairs(pairs, "kv"))
     else:
         lines = [f"{len(groups)} shared codes"]
         for code, words in groups:
             code_txt = "-".join(str(c) for c in code)
             lines.append(f"  [{code_txt}] x{len(words)}: {' '.join(words)}")
-        _print("\n".join(lines) + "\n")
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_size(args):
     scheme = SchemeConfig(M=args.M, K=args.K, H=args.H)
     report = analysis.size_report(scheme, args.vocab)
-    pairs = report.as_pairs()
-    if args.format == "kv":
-        _print(analysis.format_pairs(pairs, "kv"))
-    else:
-        _print(analysis.format_pairs(pairs, "text"))
-        _print(
+    sys.stdout.write(analysis.format_pairs(report.as_pairs(), args.format))
+    if args.format != "kv":
+        sys.stdout.write(
             f"note: binary coding over the same {report.num_vectors} basis vectors "
             f"needs {report.binary_equivalent_bits} bits/word\n"
             "note: sizes are raw uncompressed bytes; MB means 10^6 bytes\n"
@@ -202,10 +189,6 @@ def cmd_size(args):
 
 
 def cmd_pq(args):
-    _require_at_least("--limit", args.limit, 1)
-    _require_at_least("--iters", args.iters, 0)
-    _require_at_least("--seed", args.seed, 0)
-    _require_at_least("--threads", args.threads, 1)
     emb = _read_embeddings(args.emb, limit=args.limit)
     codes, books, loss = analysis.pq_baseline(
         emb, args.M, args.K, iterations=args.iters, seed=args.seed,
@@ -215,7 +198,7 @@ def cmd_pq(args):
         codec.write_code_file(args.codes, codes, emb.vocab)
     if args.books:
         codec.write_codebook_file(args.books, books)
-    _print(analysis.format_pairs(
+    sys.stdout.write(analysis.format_pairs(
         [("words", emb.vocab_size), ("M", args.M), ("K", args.K),
          ("iterations", args.iters), ("seed", args.seed), ("loss", loss)],
         args.format,
@@ -224,16 +207,13 @@ def cmd_pq(args):
 
 
 def cmd_nn_overlap(args):
-    _require_at_least("--sample", args.sample, 1)
-    _require_at_least("--seed", args.seed, 0)
-    _require_at_least("--threads", args.threads, 1)
     original = _read_embeddings(args.emb)
     recon = _load_recon(args)
     overlap = analysis.neighbor_overlap(
         original, recon, k=args.k, sample=args.sample, seed=args.seed,
         threads=args.threads,
     )
-    _print(analysis.format_pairs(
+    sys.stdout.write(analysis.format_pairs(
         [("k", args.k), ("sample", min(args.sample, original.vocab_size)),
          ("overlap", overlap)],
         args.format,
@@ -247,6 +227,12 @@ def build_parser():
                         help="suppress progress logs on stderr")
     common.add_argument("--format", choices=("text", "kv", "csv"), default="text",
                         help="report format (csv applies to balance only)")
+    # What _load_recon reads: the original and one reconstruction source.
+    compare = argparse.ArgumentParser(add_help=False)
+    compare.add_argument("--emb", required=True, help="original embeddings")
+    compare.add_argument("--recon", default=None, help="reconstructed embedding file")
+    compare.add_argument("--codes", default=None)
+    compare.add_argument("--books", default=None)
 
     parser = argparse.ArgumentParser(
         prog="codecomp",
@@ -263,11 +249,11 @@ def build_parser():
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--iters", type=int, default=200_000)
+    p.add_argument("--iters", type=_count(0), default=200_000)
     p.add_argument("--batch", type=int, default=128)
     p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=seed_default)
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--seed", type=_count(0), default=seed_default)
+    p.add_argument("--limit", type=_count(1), default=None,
                    help="use only the first N words")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.set_defaults(fn=cmd_train)
@@ -278,7 +264,7 @@ def build_parser():
     p.add_argument("--emb", required=True)
     p.add_argument("--codes", required=True, help="code file output path")
     p.add_argument("--books", required=True, help="codebook file output path")
-    p.add_argument("--sample-noise-seed", type=int, default=None,
+    p.add_argument("--sample-noise-seed", type=_count(0), default=None,
                    help="sample noisy codes instead of the deterministic argmax")
     p.set_defaults(fn=cmd_export)
 
@@ -290,14 +276,10 @@ def build_parser():
     p.add_argument("--out-format", choices=("text", "binary"), default="text")
     p.add_argument("--ref", default=None,
                    help="original embeddings; prints a quality report")
-    p.set_defaults(fn=cmd_reconstruct)
+    p.set_defaults(fn=cmd_reconstruct, recon=None)
 
-    p = sub.add_parser("stats", parents=[common],
+    p = sub.add_parser("stats", parents=[common, compare],
                        help="reconstruction quality report")
-    p.add_argument("--emb", required=True, help="original embeddings")
-    p.add_argument("--recon", default=None, help="reconstructed embedding file")
-    p.add_argument("--codes", default=None)
-    p.add_argument("--books", default=None)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("balance", parents=[common],
@@ -323,24 +305,20 @@ def build_parser():
     p.add_argument("--emb", required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--iters", type=int, default=25)
-    p.add_argument("--seed", type=int, default=seed_default)
-    p.add_argument("--threads", type=int, default=threads_default)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--iters", type=_count(0), default=25)
+    p.add_argument("--seed", type=_count(0), default=seed_default)
+    p.add_argument("--threads", type=_count(1), default=threads_default)
+    p.add_argument("--limit", type=_count(1), default=None)
     p.add_argument("--codes", default=None, help="optional code file output")
     p.add_argument("--books", default=None, help="optional codebook output")
     p.set_defaults(fn=cmd_pq)
 
-    p = sub.add_parser("nn-overlap", parents=[common],
+    p = sub.add_parser("nn-overlap", parents=[common, compare],
                        help="shared nearest-neighbor fraction")
-    p.add_argument("--emb", required=True, help="original embeddings")
-    p.add_argument("--recon", default=None)
-    p.add_argument("--codes", default=None)
-    p.add_argument("--books", default=None)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--sample", type=int, default=100)
-    p.add_argument("--seed", type=int, default=seed_default)
-    p.add_argument("--threads", type=int, default=threads_default)
+    p.add_argument("--sample", type=_count(1), default=100)
+    p.add_argument("--seed", type=_count(0), default=seed_default)
+    p.add_argument("--threads", type=_count(1), default=threads_default)
     p.set_defaults(fn=cmd_nn_overlap)
 
     return parser
@@ -348,22 +326,17 @@ def build_parser():
 
 def main(argv=None):
     try:
-        parser = build_parser()
-    except CodecompError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.ERROR if args.quiet else logging.INFO,
-        format="%(message)s",
-        force=True,
-    )
-    try:
+        # Building the parser reads CODECOMP_* defaults, which can be bad.
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=logging.ERROR if args.quiet else logging.INFO,
+            format="%(message)s",
+            force=True,
+        )
         return args.fn(args)
+    except SystemExit as exc:  # argparse: --help, or a bad flag (exit 2)
+        return int(exc.code) if exc.code is not None else 0
     except CodecompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

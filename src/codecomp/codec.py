@@ -12,7 +12,7 @@ import numpy as np
 from . import container
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
-from .model import encode
+from .model import bits_per_word, check_k, encode
 # matmul is unused here, but bench/tracing.py patches codec.matmul by name.
 from .tensor import matmul, sample_gumbel  # noqa: F401
 
@@ -31,8 +31,7 @@ class CodeMatrix:
         codes = np.asarray(codes)
         if codes.ndim != 2 or codes.shape[1] != M:
             raise ConfigError(f"codes shape {codes.shape} does not match M={M}")
-        if K < 2 or (K & (K - 1)) != 0:
-            raise ConfigError(f"K must be a power of 2 and >= 2, got {K}")
+        check_k(K)
         if codes.size and (codes.min() < 0 or codes.max() >= K):
             raise DataError(
                 f"code components must lie in [0, {K - 1}], "
@@ -48,7 +47,7 @@ class CodeMatrix:
 
     @property
     def bits_per_word(self):
-        return self.M * (self.K.bit_length() - 1)
+        return bits_per_word(self.M, self.K)
 
     @property
     def bytes_per_word(self):
@@ -111,19 +110,20 @@ def export_codes(params, emb, cfg, noise_rng=None):
     return CodeMatrix(cfg.M, cfg.K, out), books
 
 
-def compose_embedding(code, books):
-    """Sum the selected codeword of each codebook, in ascending codebook order."""
-    code = np.asarray(code)
-    if code.shape != (books.M,):
-        raise ConfigError(f"code shape {code.shape}, expected ({books.M},)")
-    if code.size and (code.min() < 0 or code.max() >= books.K):
+def codeword_sums(codes, books):
+    """vocab_size x H float64 sums of each word's codewords, codebook 0 first.
+
+    The one decoder: reconstruct_all and synthetic_embeddings round it.
+    """
+    if codes.M != books.M or codes.K != books.K:
         raise DataError(
-            f"code components must lie in [0, {books.K - 1}], got {code.tolist()}"
+            f"codes are ({codes.M}, {codes.K}) but codebooks are "
+            f"({books.M}, {books.K})"
         )
-    acc = np.zeros(books.H, dtype=np.float64)
+    acc = np.zeros((codes.vocab_size, books.H), dtype=np.float64)
     for i in range(books.M):
-        acc += books.vectors[i * books.K + code[i]]
-    return acc.astype(np.float32)
+        acc += books.vectors[i * books.K + codes.codes[:, i]]
+    return acc
 
 
 def reconstruct_all(codes, books, vocab=None):
@@ -132,27 +132,15 @@ def reconstruct_all(codes, books, vocab=None):
     Without a vocabulary, positional names are generated, since codes do not
     carry words (the code file format does).
     """
-    if codes.M != books.M or codes.K != books.K:
-        raise DataError(
-            f"codes are ({codes.M}, {codes.K}) but codebooks are "
-            f"({books.M}, {books.K})"
-        )
-    vocab_size = codes.vocab_size
-    acc = np.zeros((vocab_size, books.H), dtype=np.float64)
-    for i in range(books.M):
-        acc += books.vectors[i * books.K + codes.codes[:, i]]
+    matrix = codeword_sums(codes, books).astype(np.float32)
     if vocab is None:
-        vocab = [f"w{i}" for i in range(vocab_size)]
-    return EmbeddingMatrix(vocab=list(vocab), matrix=acc.astype(np.float32))
-
-
-def _code_bits(K):
-    return K.bit_length() - 1
+        vocab = [f"w{i}" for i in range(codes.vocab_size)]
+    return EmbeddingMatrix(vocab=list(vocab), matrix=matrix)
 
 
 def pack_codes(codes):
     """Serialize a CodeMatrix to bytes: header then one padded record per word."""
-    bits = _code_bits(codes.K)
+    bits = bits_per_word(1, codes.K)  # per component
     # (V, M, bits) bit planes, LSB first, flattened per word then padded
     # out to whole bytes.
     planes = (codes.codes[:, :, None] >> np.arange(bits)) & 1
@@ -165,21 +153,17 @@ def pack_codes(codes):
     return header + packed.tobytes()
 
 
-def unpack_codes(data):
-    """Parse packed codes back to a CodeMatrix. Trailing bytes are ignored.
+def unpack_codes(data, source="code data"):
+    """Parse packed codes; returns (CodeMatrix, offset just past the records).
 
-    (Code files append the vocabulary after the records; use read_code_file
-    to get both.)
+    Code files append the vocabulary after the records. source prefixes errors.
     """
-    codes, _ = _unpack_codes_at(data, "code data")
-    return codes
-
-
-def _unpack_codes_at(data, source):
     (m, k, vocab_size), offset = container.read_header(data, CODE_MAGIC, 3, source)
-    if k < 2 or (k & (k - 1)) != 0:
-        raise DataError(f"{source}: header K={k} is not a power of 2 (offset 9)")
-    bits = _code_bits(k)
+    try:
+        check_k(k)
+    except ConfigError as exc:
+        raise DataError(f"{source}: header at offset 9: {exc}") from exc
+    bits = bits_per_word(1, k)  # per component
     shape = (vocab_size, (m * bits + 7) // 8)
     raw, offset = container.read_array(data, offset, shape, source, dtype=np.uint8)
     flat = np.unpackbits(raw, axis=1, bitorder="little")
@@ -202,7 +186,7 @@ def write_code_file(path, codes, vocab):
 def read_code_file(path):
     with open(path, "rb") as fh:
         data = fh.read()
-    codes, offset = _unpack_codes_at(data, path)
+    codes, offset = unpack_codes(data, path)
     vocab, _ = container.read_vocab(data, offset, codes.vocab_size, path)
     return codes, vocab
 

@@ -45,6 +45,16 @@ class EmbeddingMatrix:
     def dim(self):
         return self.matrix.shape[1]
 
+    def require_finite(self, consumer):
+        """DataError naming the first word with a NaN or infinite value, if any."""
+        finite = np.isfinite(self.matrix).all(axis=1)
+        if not finite.all():
+            row = int(finite.argmin())
+            raise DataError(
+                f"word {self.vocab[row]!r} (row {row}) has a non-finite value; "
+                f"{consumer} needs finite embeddings"
+            )
+
 
 def read_text_embeddings(path, limit=None):
     """Parse a text embedding file, preserving order.

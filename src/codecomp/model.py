@@ -33,6 +33,22 @@ ALPHA_FLOOR = 1e-10
 
 PARAM_NAMES = ("theta", "b", "theta_prime", "b_prime", "A")
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def check_k(K):
+    """Raise ConfigError unless K, the codewords per codebook, is a power of 2 >= 2."""
+    if K < 2 or (K & (K - 1)) != 0:
+        raise ConfigError(f"K must be a power of 2 and >= 2, got {K}")
+
+
+def bits_per_word(M, K):
+    """Code bits per word: M components of log2(K) bits each."""
+    return M * (K.bit_length() - 1)
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -46,14 +62,11 @@ class SchemeConfig:
     def __post_init__(self):
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
-        if self.K < 2 or (self.K & (self.K - 1)) != 0:
-            raise ConfigError(f"K must be a power of 2 and >= 2, got {self.K}")
+        check_k(self.K)
         if self.H < 1:
             raise ConfigError(f"H must be >= 1, got {self.H}")
         if not math.isfinite(self.tau) or self.tau <= 0:
             raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
-        if (self.M * self.K) % 2 != 0:
-            raise ConfigError("M*K must be even (hidden width is M*K/2)")
 
     @property
     def hidden(self):
@@ -61,7 +74,7 @@ class SchemeConfig:
 
     @property
     def bits_per_word(self):
-        return self.M * (self.K.bit_length() - 1)
+        return bits_per_word(self.M, self.K)
 
 
 class ModelParams:
@@ -103,9 +116,6 @@ class ModelParams:
     def items(self):
         return ((name, self.__dict__[name]) for name in PARAM_NAMES)
 
-    def astype(self, dtype):
-        return ModelParams(self.scheme, self.flat.astype(dtype))
-
     def copy(self):
         return ModelParams(self.scheme, self.flat.copy())
 
@@ -128,12 +138,9 @@ class ModelParams:
         return sum(math.prod(shape) for shape in ModelParams.shapes(cfg).values())
 
     def validate(self, cfg):
-        expect = self.shapes(cfg)
-        for name, arr in self.items():
-            if arr.shape != expect[name]:
-                raise ConfigError(
-                    f"parameter {name} has shape {arr.shape}, expected {expect[name]}"
-                )
+        """ConfigError unless cfg has this buffer's M, K and H (tau may differ)."""
+        if (cfg.M, cfg.K, cfg.H) != (self.scheme.M, self.scheme.K, self.scheme.H):
+            raise ConfigError(f"parameters are for {self.scheme}, not {cfg}")
 
 
 @dataclass
@@ -156,18 +163,15 @@ class AdamState:
     work: np.ndarray
     t: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def new_adam_state(params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+def new_adam_state(params, lr=1e-4):
     """Zeroed moments and a scratch buffer, in the parameter dtype."""
     return AdamState(
         m=np.zeros_like(params.flat),
         v=np.zeros_like(params.flat),
         work=np.empty_like(params.flat),
-        t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+        t=0, lr=lr,
     )
 
 
@@ -344,24 +348,23 @@ def adam_step(params, grads, state):
     """
     state.t += 1
     t = state.t
-    b1, b2 = state.beta1, state.beta2
-    step = state.lr / (1.0 - b1 ** t)
-    v_scale = 1.0 / math.sqrt(1.0 - b2 ** t)
+    step = state.lr / (1.0 - ADAM_BETA1 ** t)
+    v_scale = 1.0 / math.sqrt(1.0 - ADAM_BETA2 ** t)
     flat = params.flat
     for start in range(0, flat.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
         p, g = flat[block], grads.flat[block]
         m, v, work = state.m[block], state.v[block], state.work[block]
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=work)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=work)
         m += work
-        v *= b2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=work)
-        work *= 1.0 - b2
+        work *= 1.0 - ADAM_BETA2
         v += work
         np.sqrt(v, out=work)
         work *= v_scale
-        work += state.eps
+        work += ADAM_EPS
         np.divide(m, work, out=work)
         work *= step
         p -= work

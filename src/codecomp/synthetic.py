@@ -9,7 +9,7 @@ fixture for training and baseline comparisons.
 
 import numpy as np
 
-from .codec import Codebooks, CodeMatrix
+from .codec import Codebooks, CodeMatrix, codeword_sums
 from .embeddings import EmbeddingMatrix
 from .tensor import new_rng
 
@@ -21,12 +21,10 @@ def synthetic_embeddings(M, K, H, vocab_size, noise_std, seed):
     bit-exactly.
     """
     rng = new_rng(seed)
-    books = rng.uniform(-1.0, 1.0, size=(M * K, H)).astype(np.float32)
-    codes = rng.integers(0, K, size=(vocab_size, M))
-    acc = np.zeros((vocab_size, H), dtype=np.float64)
-    for i in range(M):
-        acc += books[i * K + codes[:, i]]
+    books = Codebooks(M, K, H, rng.uniform(-1.0, 1.0, size=(M * K, H)))
+    codes = CodeMatrix(M, K, rng.integers(0, K, size=(vocab_size, M)))
+    acc = codeword_sums(codes, books)
     acc += rng.normal(0.0, noise_std, size=(vocab_size, H))
     vocab = [f"w{i}" for i in range(vocab_size)]
     emb = EmbeddingMatrix(vocab=vocab, matrix=acc.astype(np.float32))
-    return emb, CodeMatrix(M, K, codes), Codebooks(M, K, H, books)
+    return emb, codes, books

@@ -32,6 +32,9 @@ log = logging.getLogger("codecomp.trainer")
 
 CHECKPOINT_MAGIC = b"DCLM"
 
+# Share of the vocabulary held out for validation (before the caps below).
+VAL_FRACTION = 0.05
+
 
 @dataclass
 class TrainConfig:
@@ -41,15 +44,12 @@ class TrainConfig:
     iterations: int = 200_000
     validate_every: int = 1000
     seed: int = 0
-    val_fraction: float = 0.05
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not math.isfinite(self.lr) or self.lr <= 0:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0 < self.val_fraction < 1:
-            raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.validate_every < 1:
             raise ConfigError(f"validate_every must be >= 1, got {self.validate_every}")
         if self.iterations < 0:
@@ -75,14 +75,15 @@ class TrainReport:
 def split_validation(emb, tc, rng):
     """Disjoint (train_indices, val_indices) over the vocabulary.
 
-    Validation size is round(val_fraction * |V|) capped at 3000 and floored
-    at 10. Both index arrays come back sorted, which fixes the sampling
-    layout independently of the permutation's internal order.
+    Validation size is round(VAL_FRACTION * |V|) capped at 3000 and floored
+    at 10, so it depends only on the vocabulary size, not on tc. Both index
+    arrays come back sorted, which fixes the sampling layout independently
+    of the permutation's internal order.
     """
     vocab_size = len(emb.vocab)
     if vocab_size < 20:
         raise ConfigError(f"need at least 20 words to split, got {vocab_size}")
-    n_val = min(int(round(tc.val_fraction * vocab_size)), 3000)
+    n_val = min(int(round(VAL_FRACTION * vocab_size)), 3000)
     n_val = max(n_val, 10)
     perm = rng.permutation(vocab_size)
     val_idx = np.sort(perm[:n_val])
@@ -97,9 +98,10 @@ def train(emb, tc):
     zero noise and soft assignments; the parameters yielding the lowest
     validation loss seen so far are kept and returned. If training never
     reaches a validation checkpoint the final parameters are returned and
-    best_val_loss is None. A non-finite value in a training step or in a
-    validation forward aborts with NumericError carrying the last-good
-    parameters and the report so far.
+    best_val_loss is None. A word with a NaN or infinite value raises
+    DataError naming it before training starts. A non-finite value in a
+    training step or in a validation forward aborts with NumericError
+    carrying the last-good parameters and the report so far.
     """
     cfg = tc.scheme
     matrix = emb.matrix
@@ -107,6 +109,7 @@ def train(emb, tc):
         raise ConfigError(
             f"embedding dimension {matrix.shape[1]} does not match scheme H={cfg.H}"
         )
+    emb.require_finite("training")
     t_start = time.perf_counter()
     rng = new_rng(tc.seed)
     train_idx, val_idx = split_validation(emb, tc, rng)

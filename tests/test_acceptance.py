@@ -84,7 +84,8 @@ def test_criterion_01_gradients_match_finite_differences():
     t_start = time.perf_counter()
     cfg = SchemeConfig(M=3, K=4, H=6)
     rng = tensor.new_rng(2024)
-    params = model.init_params(cfg, rng).astype(np.float64)
+    init = model.init_params(cfg, rng)
+    params = model.ModelParams(init.scheme, init.flat.astype(np.float64))
     batch = rng.standard_normal((3, 6))
     noise = tensor.gumbel_from_uniform(rng.random((3, 3, 4)))
 
@@ -116,6 +117,7 @@ def test_criterion_01_gradients_match_finite_differences():
     assert elapsed < 5.0, f"gradient check took {elapsed:.2f}s, budget is 5s"
 
 
+@pytest.mark.slow
 def test_criterion_02_synthetic_recovery(recovery_data, recovery_run):
     params, report = recovery_run
     assert report.wall_time < 300, (
@@ -155,10 +157,11 @@ def test_criterion_04_pack_unpack_bijection():
             vocab_size = int(rng.integers(0, 40))
             values = rng.integers(0, k_words, size=(vocab_size, m_books))
             codes = CodeMatrix(m_books, k_words, values)
-            again = unpack_codes(pack_codes(codes))
+            again, _ = unpack_codes(pack_codes(codes))
             assert again == codes, (m_books, k_words, values.tolist())
 
 
+@pytest.mark.slow
 def test_criterion_05_capacity_trend(trend_runs):
     votes = 0
     rows = []
@@ -178,6 +181,7 @@ def test_criterion_05_capacity_trend(trend_runs):
     assert votes >= 2, "capacity trend held in %d/3 seeds:\n%s" % (votes, "\n".join(rows))
 
 
+@pytest.mark.slow
 def test_criterion_06_no_dead_codewords(trend_data, trend_runs):
     scheme = SchemeConfig(M=8, K=8, H=50)
     votes = 0
@@ -208,6 +212,7 @@ def test_criterion_07_temperature_limit():
         assert dists[0] >= dists[1] >= dists[2], (trial, dists)
 
 
+@pytest.mark.slow
 def test_criterion_08_hard_forward_matches_composition(recovery_data, recovery_run):
     params, _ = recovery_run
     trace = model.forward(params, recovery_data.matrix, None, RECOVERY_SCHEME,
@@ -220,6 +225,7 @@ def test_criterion_08_hard_forward_matches_composition(recovery_data, recovery_r
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_learned_codes_beat_pq(recovery_data, recovery_runs_3seeds):
     _, _, pq_loss = pq_baseline(recovery_data, 4, 8, seed=0)
     wins = 0
@@ -233,6 +239,7 @@ def test_criterion_09_learned_codes_beat_pq(recovery_data, recovery_runs_3seeds)
     assert wins >= 2, "learned codes won in %d/3 seeds:\n%s" % (wins, "\n".join(rows))
 
 
+@pytest.mark.slow
 def test_criterion_10_cli_determinism(recovery_data, tmp_path):
     emb_path = tmp_path / "emb.txt"
     write_text_embeddings(recovery_data, emb_path)

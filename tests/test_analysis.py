@@ -18,7 +18,7 @@ from codecomp.analysis import (
     shared_code_groups,
     size_report,
 )
-from codecomp.codec import CodeMatrix, compose_embedding, reconstruct_all
+from codecomp.codec import CodeMatrix, reconstruct_all
 from codecomp.embeddings import EmbeddingMatrix
 from codecomp.errors import ConfigError, DataError
 from codecomp.model import SchemeConfig
@@ -225,7 +225,7 @@ class TestPqBaseline:
         emb = random_embeddings(64, 300, seed=7)
         codes, books, loss = pq_baseline(emb, M=16, K=4, iterations=3, seed=0)
         assert codes.codes.shape == (64, 16)
-        recon = np.stack([compose_embedding(row, books) for row in codes.codes])
+        recon = reconstruct_all(codes, books).matrix
         diff = recon.astype(np.float64) - emb.matrix.astype(np.float64)
         assert float((diff ** 2).sum(axis=1).mean()) == pytest.approx(loss, rel=1e-5)
 

@@ -387,6 +387,22 @@ class TestAnalysisCommands:
         assert "non-finite" in err
         assert "codebooks" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--M", "1", "--K", "2", "--iters", "10", "--out", "{out}"],
+        ["stats", "--recon", "{emb}"],
+        ["nn-overlap", "--recon", "{emb}", "--k", "1", "--sample", "2"],
+    ], ids=["train", "stats", "nn-overlap"])
+    def test_non_finite_input_exits_3_naming_the_word(self, tmp_path, capsys, argv):
+        path, out = tmp_path / "emb.txt", tmp_path / "out.ckpt"
+        path.write_text("a 1.0 2.0\nb 0.5 nan\nc 3.0 1.0\nd 0.5 0.5\n")
+        argv = [a.format(emb=path, out=out) for a in argv]
+        assert main([argv[0], "--emb", str(path), "--quiet", *argv[1:]]) == 3
+        captured = capsys.readouterr()
+        assert "'b' (row 1)" in captured.err
+        assert "non-finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv, flag", [
     (["train", "--M", "2", "--K", "4", "--iters", "10", "--out", "{out}", "--limit", "0"],
@@ -416,6 +432,14 @@ def test_bad_count_exits_2_naming_the_flag(emb_file, tmp_path, capsys, argv, fla
     assert flag in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_non_integer_count_exits_2_as_invalid_int(emb_file, capsys):
+    assert main(["pq", "--emb", str(emb_file), "--M", "2", "--K", "4",
+                 "--iters", "abc", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "--iters" in err
+    assert "invalid int value: 'abc'" in err
 
 
 class TestEnvironment:

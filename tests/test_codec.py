@@ -5,7 +5,6 @@ from codecomp import codec, model, tensor
 from codecomp.codec import (
     CodeMatrix,
     Codebooks,
-    compose_embedding,
     export_codes,
     pack_codes,
     read_code_file,
@@ -93,6 +92,12 @@ class TestExport:
         with pytest.raises(ConfigError):
             export_codes(params, make_embeddings(4, 6), cfg)
 
+    @pytest.mark.parametrize("M, K, H", [(4, 4, 5), (2, 8, 5), (2, 4, 6)])
+    def test_scheme_mismatch(self, M, K, H):
+        params = model.init_params(SchemeConfig(M=2, K=4, H=5), tensor.new_rng(0))
+        with pytest.raises(ConfigError):
+            export_codes(params, make_embeddings(4, H), SchemeConfig(M=M, K=K, H=H))
+
     def test_sampled_export_is_seeded_and_in_range(self):
         cfg = SchemeConfig(M=2, K=8, H=5)
         params = model.init_params(cfg, tensor.new_rng(1))
@@ -105,25 +110,34 @@ class TestExport:
         assert not np.array_equal(a.codes, c.codes)
 
 
+def compose_one(code, books):
+    """Reference decoder for one word: a float64 sum in ascending codebook order."""
+    acc = np.zeros(books.H, dtype=np.float64)
+    for i, k in enumerate(code):
+        acc += books.vectors[i * books.K + k]
+    return acc.astype(np.float32)
+
+
 class TestCompose:
     def test_hand_case(self):
         vectors = np.arange(8 * 3, dtype=np.float32).reshape(8, 3)
         books = Codebooks(2, 4, 3, vectors)
         # book 0 codeword 3 is row 3, book 1 codeword 1 is row 5
-        got = compose_embedding(np.array([3, 1]), books)
+        got = reconstruct_all(CodeMatrix(2, 4, np.array([[3, 1]])), books).matrix
         want = vectors[3] + vectors[5]
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want[None])
         assert got.dtype == np.float32
 
     def test_out_of_range_code(self):
-        books = Codebooks(2, 4, 3, np.zeros((8, 3), dtype=np.float32))
+        # A code outside [0, K-1] cannot reach the decoder: CodeMatrix rejects it.
         with pytest.raises(DataError):
-            compose_embedding(np.array([0, 4]), books)
+            reconstruct_all(CodeMatrix(2, 4, np.array([[0, 4]])),
+                            Codebooks(2, 4, 3, np.zeros((8, 3), dtype=np.float32)))
 
     def test_wrong_length_code(self):
-        books = Codebooks(2, 4, 3, np.zeros((8, 3), dtype=np.float32))
         with pytest.raises(ConfigError):
-            compose_embedding(np.array([0, 1, 2]), books)
+            reconstruct_all(CodeMatrix(2, 4, np.array([[0, 1, 2]])),
+                            Codebooks(2, 4, 3, np.zeros((8, 3), dtype=np.float32)))
 
     def test_reconstruct_all_matches_per_word_compose(self):
         rng = tensor.new_rng(11)
@@ -134,7 +148,7 @@ class TestCompose:
         assert recon.matrix.shape == (20, 6)
         assert recon.vocab[0] == "w0"
         for w in range(20):
-            assert np.array_equal(recon.matrix[w], compose_embedding(codes.codes[w], books))
+            assert np.array_equal(recon.matrix[w], compose_one(codes.codes[w], books))
 
     def test_reconstruct_all_keeps_given_vocab(self):
         books = Codebooks(1, 2, 2, np.ones((2, 2), dtype=np.float32))
@@ -173,8 +187,10 @@ class TestPacking:
         for m_books, k_words in [(1, 2), (8, 8), (16, 32), (32, 16), (64, 8), (5, 4)]:
             values = rng.integers(0, k_words, size=(97, m_books))
             codes = CodeMatrix(m_books, k_words, values)
-            again = unpack_codes(pack_codes(codes))
+            blob = pack_codes(codes)
+            again, end = unpack_codes(blob)
             assert again == codes, (m_books, k_words)
+            assert end == len(blob), (m_books, k_words)
 
     def test_record_size(self):
         codes = CodeMatrix(16, 32, np.zeros((10, 16), dtype=np.int64))
@@ -186,7 +202,7 @@ class TestPacking:
         codes = CodeMatrix(2, 4, np.zeros((0, 2), dtype=np.int64))
         blob = pack_codes(codes)
         assert len(blob) == 17
-        assert unpack_codes(blob) == codes
+        assert unpack_codes(blob) == (codes, 17)
 
     def test_bad_magic(self):
         with pytest.raises(DataError, match="magic"):
@@ -206,8 +222,9 @@ class TestPacking:
     def test_non_power_of_two_k_in_header(self):
         import struct
         blob = b"DCC1" + struct.pack("<BIII", 1, 2, 3, 0)
-        with pytest.raises(DataError, match="power of 2"):
+        with pytest.raises(DataError, match="power of 2") as err:
             unpack_codes(blob)
+        assert "offset 9" in str(err.value)
 
     def test_truncated_payload_reports_offset(self):
         codes = CodeMatrix(2, 4, np.array([[1, 2], [3, 0]]))

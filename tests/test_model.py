@@ -120,7 +120,8 @@ class TestForward:
         assert trace.loss == pytest.approx(want, rel=1e-5)
         # The float64 shadow should agree with the scalar oracle much tighter.
         trace64 = model.forward(
-            params.astype(np.float64), x.astype(np.float64),
+            model.ModelParams(params.scheme, params.flat.astype(np.float64)),
+            x.astype(np.float64),
             noise.astype(np.float64), cfg,
         )
         assert trace64.loss == pytest.approx(want, rel=1e-12)
@@ -233,6 +234,13 @@ class TestModelParams:
         with pytest.raises(AttributeError):
             setattr(params, name, np.zeros_like(getattr(params, name)))
 
+    def test_swapped_m_and_k_do_not_validate(self):
+        # M=2, K=4 and M=4, K=2 give every group the same shape.
+        params = model.init_params(SchemeConfig(M=2, K=4, H=3), tensor.new_rng(0))
+        params.validate(SchemeConfig(M=2, K=4, H=3, tau=0.5))
+        with pytest.raises(ConfigError, match="M=2, K=4, H=3"):
+            params.validate(SchemeConfig(M=4, K=2, H=3))
+
     def test_buffer_of_wrong_length_is_rejected(self):
         cfg = SchemeConfig(M=2, K=4, H=3)
         with pytest.raises(ConfigError, match="buffer"):
@@ -331,12 +339,12 @@ class TestAdam:
         cfg = SchemeConfig(M=2, K=4, H=6)
         rng = tensor.new_rng(3)
         p32 = model.init_params(cfg, rng)
-        p64 = p32.astype(np.float64)
+        p64 = model.ModelParams(cfg, p32.flat.astype(np.float64))
         s32 = model.new_adam_state(p32, lr=lr)
         s64 = model.new_adam_state(p64, lr=lr)
         for _ in range(steps):
             g64 = model.ModelParams(cfg, rng.standard_normal(p64.flat.shape))
-            g32 = g64.astype(np.float32)
+            g32 = model.ModelParams(cfg, g64.flat.astype(np.float32))
             model.adam_step(p64, g64, s64)
             model.adam_step(p32, g32, s32)
         for name, arr in p32.items():

@@ -95,11 +95,6 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             small_config(lr=lr)
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, 2.0, -0.1, math.nan])
-    def test_rejects_val_fraction_outside_unit_interval(self, fraction):
-        with pytest.raises(ConfigError):
-            small_config(val_fraction=fraction)
-
 
 class TestTrain:
     def test_zero_iterations_returns_initial_params(self):
@@ -186,6 +181,13 @@ class TestTrain:
         tc = small_config(dim=9)
         with pytest.raises(ConfigError):
             train(emb, tc)
+
+    def test_non_finite_word_is_named_before_training(self):
+        emb = small_embeddings()
+        emb.matrix[7, 3] = np.nan
+        emb.matrix[12, 0] = np.inf
+        with pytest.raises(DataError, match=r"'w7' \(row 7\)"):
+            train(emb, small_config())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_carries_last_good_params(self):
@@ -302,6 +304,14 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(DataError, match="offset"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("M, K, H", [(4, 4, 5), (2, 8, 5), (2, 4, 6)])
+    def test_scheme_mismatch_is_rejected_before_writing(self, tmp_path, M, K, H):
+        params = model.init_params(SchemeConfig(M=2, K=4, H=5), tensor.new_rng(0))
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ConfigError):
+            save_checkpoint(path, params, SchemeConfig(M=M, K=K, H=H), iteration=0)
+        assert not path.exists()
 
     def test_missing_iteration_counter(self, tmp_path):
         cfg = SchemeConfig(M=2, K=4, H=5)
