@@ -74,13 +74,12 @@ def _load_recon(args):
 
 def cmd_train(args):
     emb = _read_embeddings(args.emb, limit=args.limit)
-    cfg = SchemeConfig(M=args.M, K=args.K, H=emb.dim, tau=args.tau)
+    cfg = SchemeConfig(M=args.M, K=args.K, H=emb.dim)
     tc = trainer.TrainConfig(
         scheme=cfg,
         batch_size=args.batch,
         lr=args.lr,
         iterations=args.iters,
-        validate_every=min(1000, args.iters) if args.iters > 0 else 1,
         seed=args.seed,
     )
     try:
@@ -248,9 +247,8 @@ def build_parser():
     p.add_argument("--emb", required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--iters", type=_count(0), default=200_000)
-    p.add_argument("--batch", type=int, default=128)
+    p.add_argument("--batch", type=_count(1), default=128)
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--seed", type=_count(0), default=seed_default)
     p.add_argument("--limit", type=_count(1), default=None,
@@ -297,7 +295,7 @@ def build_parser():
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--H", type=int, default=300,
                    help="embedding dimension for vector storage (default 300)")
-    p.add_argument("--vocab", type=int, required=True)
+    p.add_argument("--vocab", type=_count(0), required=True)
     p.set_defaults(fn=cmd_size)
 
     p = sub.add_parser("pq", parents=[common],
@@ -315,7 +313,7 @@ def build_parser():
 
     p = sub.add_parser("nn-overlap", parents=[common, compare],
                        help="shared nearest-neighbor fraction")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_count(1), default=10)
     p.add_argument("--sample", type=_count(1), default=100)
     p.add_argument("--seed", type=_count(0), default=seed_default)
     p.add_argument("--threads", type=_count(1), default=threads_default)

@@ -12,7 +12,7 @@ import numpy as np
 from . import container
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
-from .model import bits_per_word, check_k, encode
+from .model import assign, bits_per_word, check_k, encode
 # matmul is unused here, but bench/tracing.py patches codec.matmul by name.
 from .tensor import matmul, sample_gumbel  # noqa: F401
 
@@ -53,14 +53,6 @@ class CodeMatrix:
     def bytes_per_word(self):
         return (self.bits_per_word + 7) // 8
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CodeMatrix)
-            and self.M == other.M
-            and self.K == other.K
-            and np.array_equal(self.codes, other.codes)
-        )
-
 
 class Codebooks:
     """M codebooks of K codewords each, stacked as an (M*K) x H float32 matrix.
@@ -85,12 +77,12 @@ class Codebooks:
 
 
 def export_codes(params, emb, cfg, noise_rng=None):
-    """Hard codes for every word: argmax over alpha per component, noise-free.
+    """Hard codes for every word, as model.assign picks them, noise-free.
 
-    Ties break toward the smallest index. Passing noise_rng adds Gumbel
-    noise to the logits before the argmax, giving stochastic codes for
-    experimentation; the default deterministic path is what training's
-    hard-mode loss and the file formats are defined against.
+    Passing noise_rng adds Gumbel noise to the log scores before the argmax,
+    giving stochastic codes for experimentation; the default deterministic
+    path is what training's hard-mode loss and the file formats are defined
+    against. A word with a NaN or infinite value raises DataError naming it.
     """
     params.validate(cfg)
     matrix = emb.matrix
@@ -98,14 +90,16 @@ def export_codes(params, emb, cfg, noise_rng=None):
         raise ConfigError(
             f"embedding dimension {matrix.shape[1]} does not match scheme H={cfg.H}"
         )
+    emb.require_finite("export")
     vocab_size = matrix.shape[0]
     out = np.empty((vocab_size, cfg.M), dtype=np.int32)
     for start in range(0, vocab_size, _EXPORT_CHUNK):
-        _, scores = encode(params, matrix[start:start + _EXPORT_CHUNK], cfg)
+        _, alpha = encode(params, matrix[start:start + _EXPORT_CHUNK], cfg)
+        noise = None
         if noise_rng is not None:
-            noise = sample_gumbel(noise_rng, len(scores), cfg.M * cfg.K)
-            scores = np.log(scores) + noise.reshape(scores.shape)
-        out[start:start + _EXPORT_CHUNK] = scores.argmax(axis=2)
+            noise = sample_gumbel(noise_rng, len(alpha), cfg.M * cfg.K)
+            noise = noise.reshape(alpha.shape)
+        out[start:start + _EXPORT_CHUNK] = assign(alpha, noise)
     books = Codebooks(cfg.M, cfg.K, cfg.H, params.A.copy())
     return CodeMatrix(cfg.M, cfg.K, out), books
 

@@ -4,10 +4,12 @@ The network embeds a batch of word vectors x (B x H) as follows:
 
     h      = tanh(x @ theta + b)                     hidden layer, width M*K/2
     alpha  = softplus(h @ theta_prime + b_prime)     per-component codeword scores
-    d_i    = softmax((log alpha_i + G_i) / tau)      soft one-hot per component i
+    d_i    = softmax(log alpha_i + G_i)              soft one-hot per component i
     recon  = sum_i d_i @ A_i                         additive reconstruction
 
 where G is Gumbel(0, 1) noise and A stacks M codebooks of K codewords each.
+A word's code is the argmax of its scores (assign); hard forward passes and
+code export both take it there.
 The training loss is the squared L2 distance summed over dimensions and
 averaged over the batch. Backpropagation is written out analytically; the
 Gumbel noise enters through the reparameterized soft assignment, so the
@@ -57,7 +59,6 @@ class SchemeConfig:
     M: int
     K: int
     H: int
-    tau: float = 1.0
 
     def __post_init__(self):
         if self.M < 1:
@@ -65,8 +66,6 @@ class SchemeConfig:
         check_k(self.K)
         if self.H < 1:
             raise ConfigError(f"H must be >= 1, got {self.H}")
-        if not math.isfinite(self.tau) or self.tau <= 0:
-            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
 
     @property
     def hidden(self):
@@ -113,9 +112,6 @@ class ModelParams:
             f"ModelParams.{name} cannot be rebound; write into it instead"
         )
 
-    def items(self):
-        return ((name, self.__dict__[name]) for name in PARAM_NAMES)
-
     def copy(self):
         return ModelParams(self.scheme, self.flat.copy())
 
@@ -138,8 +134,8 @@ class ModelParams:
         return sum(math.prod(shape) for shape in ModelParams.shapes(cfg).values())
 
     def validate(self, cfg):
-        """ConfigError unless cfg has this buffer's M, K and H (tau may differ)."""
-        if (cfg.M, cfg.K, cfg.H) != (self.scheme.M, self.scheme.K, self.scheme.H):
+        """ConfigError unless cfg is the scheme this buffer is laid out for."""
+        if cfg != self.scheme:
             raise ConfigError(f"parameters are for {self.scheme}, not {cfg}")
 
 
@@ -220,7 +216,7 @@ def encode(params, x, cfg, check=True):
     """Encoder: hidden layer h (B x hidden) and codeword scores alpha (B x M x K).
 
     alpha is floored at ALPHA_FLOOR. Training's forward pass and code export
-    both score words here, so export's argmax sees what training optimised.
+    both score words here, so export's codes come from what training optimised.
     With check, a non-finite alpha raises NumericError naming 'hidden' or
     'alpha'; an argmax over alpha would hide it. The soft forward pass
     checks its loss instead, which any non-finite stage reaches.
@@ -238,16 +234,28 @@ def encode(params, x, cfg, check=True):
     return h, alpha
 
 
+def assign(alpha, noise=None):
+    """Codes (B x M): the argmax over K of alpha, or of log(alpha) + noise.
+
+    The one code assignment rule; hard forward passes and code export both
+    call it. noise is Gumbel noise shaped like alpha. Ties go to the smaller
+    index. Without noise the argmax runs on alpha itself, since a float32
+    log can merge two adjacent scores.
+    """
+    scores = alpha if noise is None else np.log(alpha) + noise
+    return scores.argmax(axis=2)
+
+
 def forward(params, batch, noise, cfg, hard=False):
     """Run the autoencoder on a batch, returning all intermediate stages.
 
     noise is a B x M x K matrix of Gumbel samples, or None for the
     deterministic mode used by validation and export. With hard=True the
-    soft assignment is replaced by the exact one-hot at the argmax (ties
-    toward the smallest index), which is the reconstruction the discrete
-    codes produce after export. params must match cfg (ModelParams.validate);
-    the per-step path does not re-check it. A non-finite value raises
-    NumericError naming the first stage that holds one.
+    soft assignment is replaced by the exact one-hot of assign's code, which
+    is the reconstruction the discrete codes produce after export. params
+    must match cfg (ModelParams.validate); the per-step path does not
+    re-check it. A non-finite value raises NumericError naming the first
+    stage that holds one.
     """
     batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] != cfg.H:
@@ -261,15 +269,13 @@ def forward(params, batch, noise, cfg, hard=False):
             )
 
     h, alpha = encode(params, batch, cfg, check=hard)
-    logits = np.log(alpha)
-    if noise is not None:
-        logits += noise
-    logits /= cfg.tau
     if hard:
-        idx = logits.argmax(axis=2)
-        d = np.zeros_like(logits)
-        np.put_along_axis(d, idx[:, :, None], 1.0, axis=2)
+        d = np.zeros_like(alpha)
+        np.put_along_axis(d, assign(alpha, noise)[:, :, None], 1.0, axis=2)
     else:
+        logits = np.log(alpha)
+        if noise is not None:
+            logits += noise
         d = softmax(logits)
 
     recon = matmul(d.reshape(bsz, cfg.M * cfg.K), params.A)
@@ -303,13 +309,12 @@ def backward(params, batch, cfg, trace, grads):
     d_recon *= 2.0 / bsz
     matmul(d_flat.T, d_recon, out=grads.A)
 
-    # d_raw = softmax backward, / tau, then through log(softplus), in place.
+    # d_raw = softmax backward, then through log(softplus), in place.
     d_raw = matmul(d_recon, params.A.T)
     d_d = d_raw.reshape(bsz, cfg.M, cfg.K)
     inner = (d_d * trace.d).sum(axis=2, keepdims=True)
     d_d -= inner
     d_d *= trace.d
-    d_raw /= cfg.tau
     factor = np.negative(alpha_flat)
     np.exp(factor, out=factor)
     np.subtract(1.0, factor, out=factor)

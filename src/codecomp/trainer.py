@@ -35,6 +35,9 @@ CHECKPOINT_MAGIC = b"DCLM"
 # Share of the vocabulary held out for validation (before the caps below).
 VAL_FRACTION = 0.05
 
+# Iterations between validations; a shorter run validates once, at its end.
+VALIDATE_EVERY = 1000
+
 
 @dataclass
 class TrainConfig:
@@ -42,7 +45,6 @@ class TrainConfig:
     batch_size: int = 128
     lr: float = 1e-4
     iterations: int = 200_000
-    validate_every: int = 1000
     seed: int = 0
 
     def __post_init__(self):
@@ -50,17 +52,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not math.isfinite(self.lr) or self.lr <= 0:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if self.validate_every < 1:
-            raise ConfigError(f"validate_every must be >= 1, got {self.validate_every}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
-        # iterations = 0 is the degenerate "return the init" case; any positive
-        # budget must cover at least one validation checkpoint.
-        if self.iterations != 0 and self.iterations < self.validate_every:
-            raise ConfigError(
-                f"iterations ({self.iterations}) must be 0 or >= validate_every "
-                f"({self.validate_every})"
-            )
 
 
 @dataclass
@@ -94,11 +87,12 @@ def split_validation(emb, tc, rng):
 def train(emb, tc):
     """Learn codes for an embedding matrix; returns (best params, report).
 
-    Every validate_every iterations the validation loss is evaluated with
-    zero noise and soft assignments; the parameters yielding the lowest
-    validation loss seen so far are kept and returned. If training never
-    reaches a validation checkpoint the final parameters are returned and
-    best_val_loss is None. A word with a NaN or infinite value raises
+    Every min(VALIDATE_EVERY, iterations) iterations the validation loss is
+    evaluated with zero noise and soft assignments, so the last
+    iterations % VALIDATE_EVERY steps of a longer run are not validated;
+    the parameters yielding the lowest validation loss seen so far are kept
+    and returned. With iterations = 0 the initial parameters are returned
+    and best_val_loss is None. A word with a NaN or infinite value raises
     DataError naming it before training starts. A non-finite value in a
     training step or in a validation forward aborts with NumericError
     carrying the last-good parameters and the report so far.
@@ -121,6 +115,7 @@ def train(emb, tc):
     report = TrainReport(best_val_loss=None)
     best_params = params.copy()
     best_loss = np.inf
+    validate_every = min(VALIDATE_EVERY, tc.iterations)
 
     for it in range(1, tc.iterations + 1):
         batch_pos = rng.integers(0, len(train_idx), size=tc.batch_size)
@@ -133,7 +128,7 @@ def train(emb, tc):
             backward(params, xb, cfg, trace, grads)
             adam_step(params, grads, state)
             val_loss = None
-            if it % tc.validate_every == 0:
+            if it % validate_every == 0:
                 val_loss = forward(params, x_val, None, cfg).loss
         except NumericError as exc:
             report.iterations_run = it
@@ -155,10 +150,8 @@ def train(emb, tc):
 
     report.iterations_run = tc.iterations
     report.wall_time = time.perf_counter() - t_start
-    if report.best_val_loss is None:
-        # No validation checkpoint was reached; hand back what we have.
-        best_params = params
-        report.best_iteration = tc.iterations
+    if tc.iterations == 0:
+        report.best_iteration = 0  # the init comes back
     return best_params, report
 
 
@@ -169,7 +162,6 @@ def save_checkpoint(path, params, cfg, iteration):
     flat parameter buffer (theta, b, theta_prime, b_prime, A, each
     row-major) as little-endian float32, then a
     u64 iteration counter (the iteration the saved parameters came from).
-    tau is not serialized; code export is temperature-invariant.
     """
     params.validate(cfg)
     with open(path, "wb") as fh:
@@ -179,7 +171,7 @@ def save_checkpoint(path, params, cfg, iteration):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, scheme, iteration). tau defaults to 1."""
+    """Read a checkpoint; returns (params, scheme, iteration)."""
     with open(path, "rb") as fh:
         data = fh.read()
     (m, k, h), offset = container.read_header(data, CHECKPOINT_MAGIC, 3, path)

@@ -27,7 +27,7 @@ RECOVERY_SCHEME = SchemeConfig(M=4, K=8, H=16)
 
 def train_20k(emb, scheme, seed):
     tc = TrainConfig(scheme=scheme, batch_size=128, lr=1e-4, iterations=20_000,
-                     validate_every=1000, seed=seed)
+                     seed=seed)
     return train(emb, tc)
 
 
@@ -96,8 +96,8 @@ def test_criterion_01_gradients_match_finite_differences():
     step = 1e-3
     failures = []
     worst = 0.0
-    for name, arr in params.items():
-        flat = arr.reshape(-1)
+    for name in model.PARAM_NAMES:
+        flat = getattr(params, name).reshape(-1)
         gflat = getattr(grads, name).reshape(-1)
         for idx in range(flat.size):
             saved = flat[idx]
@@ -158,7 +158,8 @@ def test_criterion_04_pack_unpack_bijection():
             values = rng.integers(0, k_words, size=(vocab_size, m_books))
             codes = CodeMatrix(m_books, k_words, values)
             again, _ = unpack_codes(pack_codes(codes))
-            assert again == codes, (m_books, k_words, values.tolist())
+            assert (again.M, again.K) == (m_books, k_words)
+            assert np.array_equal(again.codes, values), (m_books, k_words, values.tolist())
 
 
 @pytest.mark.slow

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import codecomp
-from codecomp import codec, tensor, trainer
+from codecomp import codec, model, tensor, trainer
 from codecomp.cli import main
 from codecomp.embeddings import (
     EmbeddingMatrix,
@@ -15,6 +15,7 @@ from codecomp.embeddings import (
     write_binary_matrix,
     write_text_embeddings,
 )
+from codecomp.model import SchemeConfig
 from codecomp.synthetic import synthetic_embeddings
 
 
@@ -89,8 +90,7 @@ class TestTrain:
         assert report["iterations_run"] == "300"
         params, cfg, _ = trainer.load_checkpoint(out)
         assert (cfg.M, cfg.K, cfg.H) == (2, 4, 8)
-        for _, arr in params.items():
-            assert np.all(np.isfinite(arr))
+        assert np.all(np.isfinite(params.flat))
 
     def test_same_seed_gives_identical_checkpoint_bytes(self, emb_file, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -134,8 +134,7 @@ class TestTrain:
         assert code == 4
         assert "error:" in capsys.readouterr().err
         params, _, _ = trainer.load_checkpoint(out)
-        for _, arr in params.items():
-            assert np.all(np.isfinite(arr))
+        assert np.all(np.isfinite(params.flat))
 
     def test_nan_lr_exits_2(self, emb_file, tmp_path, capsys):
         out = tmp_path / "model.ckpt"
@@ -202,7 +201,8 @@ class TestExportReconstruct:
         params, cfg, _ = trainer.load_checkpoint(trained)
         want, _ = codec.export_codes(params, _read_embeddings(emb_file), cfg)
         got, vocab = codec.read_code_file(codes_path)
-        assert got == want
+        assert (got.M, got.K) == (want.M, want.K)
+        assert np.array_equal(got.codes, want.codes)
         assert vocab[:2] == ["w0", "w1"]
 
         out_path = tmp_path / "recon.txt"
@@ -391,11 +391,15 @@ class TestAnalysisCommands:
         ["train", "--M", "1", "--K", "2", "--iters", "10", "--out", "{out}"],
         ["stats", "--recon", "{emb}"],
         ["nn-overlap", "--recon", "{emb}", "--k", "1", "--sample", "2"],
-    ], ids=["train", "stats", "nn-overlap"])
+        ["export", "--checkpoint", "{ckpt}", "--codes", "{out}", "--books", "{out}"],
+    ], ids=["train", "stats", "nn-overlap", "export"])
     def test_non_finite_input_exits_3_naming_the_word(self, tmp_path, capsys, argv):
         path, out = tmp_path / "emb.txt", tmp_path / "out.ckpt"
         path.write_text("a 1.0 2.0\nb 0.5 nan\nc 3.0 1.0\nd 0.5 0.5\n")
-        argv = [a.format(emb=path, out=out) for a in argv]
+        ckpt = tmp_path / "model.ckpt"
+        cfg = SchemeConfig(M=1, K=2, H=2)
+        trainer.save_checkpoint(ckpt, model.init_params(cfg, tensor.new_rng(0)), cfg, 0)
+        argv = [a.format(emb=path, out=out, ckpt=ckpt) for a in argv]
         assert main([argv[0], "--emb", str(path), "--quiet", *argv[1:]]) == 3
         captured = capsys.readouterr()
         assert "'b' (row 1)" in captured.err
@@ -421,13 +425,20 @@ class TestAnalysisCommands:
     (["nn-overlap", "--recon", "{emb}", "--seed", "-1"], "--seed"),
     (["export", "--checkpoint", "{out}", "--codes", "{out}", "--books", "{out}",
       "--sample-noise-seed", "-1"], "--sample-noise-seed"),
+    (["train", "--M", "2", "--K", "4", "--iters", "10", "--out", "{out}", "--batch", "0"],
+     "--batch"),
+    (["nn-overlap", "--recon", "{emb}", "--k", "0"], "--k"),
+    (["size", "--M", "2", "--K", "4", "--vocab", "-1"], "--vocab"),
 ], ids=["train-limit-0", "train-limit-neg", "pq-limit-0", "pq-iters-neg", "pq-threads-0",
         "nn-overlap-sample-0", "nn-overlap-threads-neg", "train-iters-neg",
-        "train-seed-neg", "pq-seed-neg", "nn-overlap-seed-neg", "export-noise-seed-neg"])
+        "train-seed-neg", "pq-seed-neg", "nn-overlap-seed-neg", "export-noise-seed-neg",
+        "train-batch-0", "nn-overlap-k-0", "size-vocab-neg"])
 def test_bad_count_exits_2_naming_the_flag(emb_file, tmp_path, capsys, argv, flag):
     out = tmp_path / "out.bin"
     argv = [a.format(emb=emb_file, out=out) for a in argv]
-    assert main([argv[0], "--emb", str(emb_file), "--quiet", *argv[1:]]) == 2
+    # size reads no embeddings, so it takes no --emb.
+    emb = [] if argv[0] == "size" else ["--emb", str(emb_file)]
+    assert main([argv[0], *emb, "--quiet", *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert flag in captured.err
     assert captured.out == ""

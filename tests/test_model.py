@@ -13,7 +13,7 @@ def scalar_forward_oracle(params, batch, noise, cfg):
 
     Pure Python floats throughout; no shared code with the array version.
     """
-    m_books, k_words, tau = cfg.M, cfg.K, cfg.tau
+    m_books, k_words = cfg.M, cfg.K
     hid = m_books * k_words // 2
     total = 0.0
     for w in range(len(batch)):
@@ -35,7 +35,7 @@ def scalar_forward_oracle(params, batch, noise, cfg):
                 alpha = math.log1p(math.exp(raw)) if raw <= 30 else raw
                 alpha = max(alpha, model.ALPHA_FLOOR)
                 g = float(noise[w, i, k]) if noise is not None else 0.0
-                logits.append((math.log(alpha) + g) / tau)
+                logits.append(math.log(alpha) + g)
             peak = max(logits)
             exps = [math.exp(v - peak) for v in logits]
             z = sum(exps)
@@ -69,15 +69,6 @@ class TestSchemeConfig:
     def test_rejects_k_below_two(self):
         with pytest.raises(ConfigError):
             SchemeConfig(M=4, K=1, H=8)
-
-    def test_rejects_bad_tau(self):
-        with pytest.raises(ConfigError):
-            SchemeConfig(M=4, K=8, H=8, tau=0.0)
-
-    @pytest.mark.parametrize("tau", [math.nan, math.inf])
-    def test_rejects_non_finite_tau(self, tau):
-        with pytest.raises(ConfigError):
-            SchemeConfig(M=4, K=8, H=8, tau=tau)
 
     def test_hidden_width(self):
         assert SchemeConfig(M=4, K=8, H=16).hidden == 16
@@ -208,7 +199,8 @@ class TestModelParams:
         cfg = SchemeConfig(M=2, K=4, H=3)
         params = model.init_params(cfg, tensor.new_rng(0))
         offset = 0
-        for name, arr in params.items():
+        for name in model.PARAM_NAMES:
+            arr = getattr(params, name)
             assert arr.base is params.flat, name
             assert np.array_equal(arr.reshape(-1), params.flat[offset:offset + arr.size])
             offset += arr.size
@@ -237,7 +229,7 @@ class TestModelParams:
     def test_swapped_m_and_k_do_not_validate(self):
         # M=2, K=4 and M=4, K=2 give every group the same shape.
         params = model.init_params(SchemeConfig(M=2, K=4, H=3), tensor.new_rng(0))
-        params.validate(SchemeConfig(M=2, K=4, H=3, tau=0.5))
+        params.validate(SchemeConfig(M=2, K=4, H=3))
         with pytest.raises(ConfigError, match="M=2, K=4, H=3"):
             params.validate(SchemeConfig(M=4, K=2, H=3))
 
@@ -256,8 +248,7 @@ class TestBackward:
         trace = model.forward(params, x, None, cfg)
         assert trace.loss == 0.0
         grads = model.backward(params, x, cfg, trace, model.ModelParams(cfg))
-        for name, g in grads.items():
-            assert np.array_equal(g, np.zeros_like(g)), name
+        assert np.array_equal(grads.flat, np.zeros_like(grads.flat))
 
     def test_duplicating_batch_rows_leaves_gradients_unchanged(self):
         cfg = SchemeConfig(M=3, K=4, H=6)
@@ -271,8 +262,9 @@ class TestBackward:
         noise2 = np.vstack([noise, noise])
         trace2 = model.forward(params, x2, noise2, cfg)
         grads2 = model.backward(params, x2, cfg, trace2, model.ModelParams(cfg))
-        for name, g in grads.items():
-            assert np.allclose(g, getattr(grads2, name), rtol=1e-5, atol=1e-8), name
+        for name in model.PARAM_NAMES:
+            assert np.allclose(getattr(grads, name), getattr(grads2, name),
+                               rtol=1e-5, atol=1e-8), name
 
 
 class TestAdam:
@@ -283,8 +275,7 @@ class TestAdam:
         state = model.new_adam_state(params, lr=0.1)
         model.adam_step(params, model.ModelParams(cfg), state)
         assert state.t == 1
-        for name, arr in params.items():
-            assert np.array_equal(arr, getattr(before, name)), name
+        assert np.array_equal(params.flat, before.flat)
 
     def test_first_step_magnitude(self):
         # Constant gradient 1: m_hat = v_hat = 1, so the first step is
@@ -316,14 +307,15 @@ class TestAdam:
         rng = tensor.new_rng(0)
         params = model.init_params(cfg, rng)
         before = params.copy()
-        arrays = dict(params.items())
+        arrays = {name: getattr(params, name) for name in model.PARAM_NAMES}
         state = model.new_adam_state(params, lr=0.1)
         buffers = (params.flat, state.m, state.v, state.work)
         grads = model.ModelParams(cfg)
         for _ in range(3):
             grads.flat[...] = rng.standard_normal(grads.flat.shape)
             model.adam_step(params, grads, state)
-        for name, arr in params.items():
+        for name in model.PARAM_NAMES:
+            arr = getattr(params, name)
             assert arr is arrays[name], name
             assert not np.array_equal(arr, getattr(before, name)), name
         for saved, live in zip(buffers, (params.flat, state.m, state.v, state.work)):
@@ -347,8 +339,8 @@ class TestAdam:
             g32 = model.ModelParams(cfg, g64.flat.astype(np.float32))
             model.adam_step(p64, g64, s64)
             model.adam_step(p32, g32, s32)
-        for name, arr in p32.items():
-            want = getattr(p64, name)
+        for name in model.PARAM_NAMES:
+            arr, want = getattr(p32, name), getattr(p64, name)
             assert np.all(np.abs(want) < 4), name
             assert arr.dtype == np.float32, name
             np.testing.assert_allclose(arr, want, rtol=0, atol=tol, err_msg=name)
@@ -375,8 +367,7 @@ class TestInit:
         cfg = SchemeConfig(M=4, K=8, H=10)
         a = model.init_params(cfg, tensor.new_rng(11))
         b = model.init_params(cfg, tensor.new_rng(11))
-        for (name, lhs), (_, rhs) in zip(a.items(), b.items()):
-            assert np.array_equal(lhs, rhs), name
+        assert np.array_equal(a.flat, b.flat)
 
     def test_biases_are_zero(self):
         cfg = SchemeConfig(M=4, K=8, H=10)
