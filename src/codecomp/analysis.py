@@ -21,42 +21,6 @@ _EPS = np.finfo(np.float64).eps
 
 
 @dataclass
-class SizeReport:
-    M: int
-    K: int
-    H: int
-    vocab_size: int
-    num_vectors: int          # basis vectors stored: M*K
-    vector_bytes: int         # M*K*H float32 values
-    code_bits_per_word: int   # M*log2(K)
-    code_bytes_exact: int     # ceil(|V| * bits / 8), no per-word padding
-    code_bytes_aligned: int   # |V| * ceil(bits / 8), as the code file stores them
-    total_bytes: int          # vector_bytes + code_bytes_aligned
-    baseline_bytes: int       # |V| * H * 4, the uncompressed matrix
-    compression_ratio: float
-    binary_equivalent_bits: int  # N/2 for a binary code over the same basis
-
-    def as_pairs(self):
-        return [
-            ("M", self.M),
-            ("K", self.K),
-            ("H", self.H),
-            ("vocab_size", self.vocab_size),
-            ("num_vectors", self.num_vectors),
-            ("code_bits_per_word", self.code_bits_per_word),
-            ("code_bytes_exact", self.code_bytes_exact),
-            ("code_bytes_aligned", self.code_bytes_aligned),
-            ("vector_bytes", self.vector_bytes),
-            ("total_bytes", self.total_bytes),
-            ("total_mb", self.total_bytes / 1e6),
-            ("baseline_bytes", self.baseline_bytes),
-            ("baseline_mb", self.baseline_bytes / 1e6),
-            ("compression_ratio", self.compression_ratio),
-            ("binary_equivalent_bits", self.binary_equivalent_bits),
-        ]
-
-
-@dataclass
 class BalanceTable:
     counts: np.ndarray  # M x K word counts per (component, subcode)
     min_count: int
@@ -80,31 +44,37 @@ class BalanceTable:
 
 
 def size_report(scheme, vocab_size):
-    """Exact storage accounting for a scheme over a vocabulary."""
+    """Exact storage accounting for a scheme over a vocabulary, as a dict.
+
+    Keys come in report order. code_bytes_exact packs the codes with no
+    per-word padding; code_bytes_aligned pads each word to whole bytes, as
+    the code file stores them; total_bytes adds the float32 codebooks.
+    """
     if vocab_size < 0:
         raise ConfigError(f"vocab_size must be >= 0, got {vocab_size}")
     bits = scheme.bits_per_word
     n_basis = scheme.M * scheme.K
     vector_bytes = n_basis * scheme.H * 4
-    code_bytes_exact = (vocab_size * bits + 7) // 8
     code_bytes_aligned = vocab_size * ((bits + 7) // 8)
     total = vector_bytes + code_bytes_aligned
     baseline = vocab_size * scheme.H * 4
-    return SizeReport(
-        M=scheme.M,
-        K=scheme.K,
-        H=scheme.H,
-        vocab_size=vocab_size,
-        num_vectors=n_basis,
-        vector_bytes=vector_bytes,
-        code_bits_per_word=bits,
-        code_bytes_exact=code_bytes_exact,
-        code_bytes_aligned=code_bytes_aligned,
-        total_bytes=total,
-        baseline_bytes=baseline,
-        compression_ratio=baseline / total if total else float("inf"),
-        binary_equivalent_bits=n_basis // 2,
-    )
+    return {
+        "M": scheme.M,
+        "K": scheme.K,
+        "H": scheme.H,
+        "vocab_size": vocab_size,
+        "num_vectors": n_basis,
+        "code_bits_per_word": bits,
+        "code_bytes_exact": (vocab_size * bits + 7) // 8,
+        "code_bytes_aligned": code_bytes_aligned,
+        "vector_bytes": vector_bytes,
+        "total_bytes": total,
+        "total_mb": total / 1e6,
+        "baseline_bytes": baseline,
+        "baseline_mb": baseline / 1e6,
+        "compression_ratio": baseline / total if total else float("inf"),
+        "binary_equivalent_bits": n_basis // 2,
+    }
 
 
 def balance_table(codes):

@@ -85,23 +85,18 @@ def cmd_train(args):
     try:
         params, report = trainer.train(emb, tc)
     except NumericError as exc:
-        if exc.params is not None:
-            # best_iteration is None when no validation was reached.
-            best = exc.report.best_iteration or 0
-            trainer.save_checkpoint(args.out, exc.params, cfg, best)
-            log.error("kept last-good checkpoint at %s", args.out)
+        trainer.save_checkpoint(args.out, exc.params, exc.report.best_iteration)
+        log.error("kept last-good checkpoint at %s", args.out)
         raise
-    trainer.save_checkpoint(args.out, params, cfg, report.best_iteration)
-    pairs = [
+    trainer.save_checkpoint(args.out, params, report.best_iteration)
+    sys.stdout.write(analysis.format_pairs([
         ("iterations_run", report.iterations_run),
         ("best_val_loss", report.best_val_loss),
+        ("final_val_loss", report.val_loss_history[-1][1]),
         ("best_iteration", report.best_iteration),
         ("wall_time_s", round(report.wall_time, 3)),
         ("checkpoint", args.out),
-    ]
-    if report.val_loss_history:
-        pairs.insert(2, ("final_val_loss", report.val_loss_history[-1][1]))
-    sys.stdout.write(analysis.format_pairs(pairs, args.format))
+    ], args.format))
     return 0
 
 
@@ -111,7 +106,7 @@ def cmd_export(args):
     noise_rng = None
     if args.sample_noise_seed is not None:
         noise_rng = new_rng(args.sample_noise_seed)
-    codes, books = codec.export_codes(params, emb, cfg, noise_rng=noise_rng)
+    codes, books = codec.export_codes(params, emb, noise_rng=noise_rng)
     codec.write_code_file(args.codes, codes, emb.vocab)
     codec.write_codebook_file(args.books, books)
     sys.stdout.write(analysis.format_pairs(
@@ -177,11 +172,11 @@ def cmd_shared(args):
 def cmd_size(args):
     scheme = SchemeConfig(M=args.M, K=args.K, H=args.H)
     report = analysis.size_report(scheme, args.vocab)
-    sys.stdout.write(analysis.format_pairs(report.as_pairs(), args.format))
+    sys.stdout.write(analysis.format_pairs(list(report.items()), args.format))
     if args.format != "kv":
         sys.stdout.write(
-            f"note: binary coding over the same {report.num_vectors} basis vectors "
-            f"needs {report.binary_equivalent_bits} bits/word\n"
+            f"note: binary coding over the same {report['num_vectors']} basis vectors "
+            f"needs {report['binary_equivalent_bits']} bits/word\n"
             "note: sizes are raw uncompressed bytes; MB means 10^6 bytes\n"
         )
     return 0

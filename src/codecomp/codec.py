@@ -76,15 +76,15 @@ class Codebooks:
         self.vectors = vectors
 
 
-def export_codes(params, emb, cfg, noise_rng=None):
-    """Hard codes for every word, as model.assign picks them, noise-free.
+def export_codes(params, emb, noise_rng=None):
+    """Hard codes for every word under params.scheme, as model.assign picks them.
 
     Passing noise_rng adds Gumbel noise to the log scores before the argmax,
     giving stochastic codes for experimentation; the default deterministic
     path is what training's hard-mode loss and the file formats are defined
     against. A word with a NaN or infinite value raises DataError naming it.
     """
-    params.validate(cfg)
+    cfg = params.scheme
     matrix = emb.matrix
     if matrix.shape[1] != cfg.H:
         raise ConfigError(
@@ -94,7 +94,7 @@ def export_codes(params, emb, cfg, noise_rng=None):
     vocab_size = matrix.shape[0]
     out = np.empty((vocab_size, cfg.M), dtype=np.int32)
     for start in range(0, vocab_size, _EXPORT_CHUNK):
-        _, alpha = encode(params, matrix[start:start + _EXPORT_CHUNK], cfg)
+        _, alpha = encode(params, matrix[start:start + _EXPORT_CHUNK])
         noise = None
         if noise_rng is not None:
             noise = sample_gumbel(noise_rng, len(alpha), cfg.M * cfg.K)
@@ -147,16 +147,26 @@ def pack_codes(codes):
     return header + packed.tobytes()
 
 
+def _check_m_k(m, k, source):
+    """DataError naming the header field unless M >= 1 and K is a power of 2 >= 2.
+
+    Code and codebook headers both start with u32 M at offset 5 and K at 9.
+    """
+    if m < 1:
+        raise DataError(f"{source}: header at offset 5: M must be >= 1, got {m}")
+    try:
+        check_k(k)
+    except ConfigError as exc:
+        raise DataError(f"{source}: header at offset 9: {exc}") from exc
+
+
 def unpack_codes(data, source="code data"):
     """Parse packed codes; returns (CodeMatrix, offset just past the records).
 
     Code files append the vocabulary after the records. source prefixes errors.
     """
     (m, k, vocab_size), offset = container.read_header(data, CODE_MAGIC, 3, source)
-    try:
-        check_k(k)
-    except ConfigError as exc:
-        raise DataError(f"{source}: header at offset 9: {exc}") from exc
+    _check_m_k(m, k, source)
     bits = bits_per_word(1, k)  # per component
     shape = (vocab_size, (m * bits + 7) // 8)
     raw, offset = container.read_array(data, offset, shape, source, dtype=np.uint8)
@@ -196,5 +206,6 @@ def read_codebook_file(path):
     with open(path, "rb") as fh:
         data = fh.read()
     (m, k, h), offset = container.read_header(data, BOOK_MAGIC, 3, path)
+    _check_m_k(m, k, path)
     vectors, _ = container.read_array(data, offset, (m * k, h), path)
     return Codebooks(m, k, h, vectors)

@@ -81,9 +81,10 @@ class ModelParams:
 
     flat holds theta, b, theta_prime, b_prime and A back to back, row-major,
     in PARAM_NAMES order; each group is a view of its slice, so writing into
-    a group writes into flat; scheme is the SchemeConfig the layout follows.
-    No attribute can be rebound, so the views stay on the buffer. Gradients and Adam's moments share this layout, so Adam
-    runs over flat arrays.
+    a group writes into flat; scheme is the SchemeConfig the layout follows,
+    and functions that take params read the scheme there. No attribute can
+    be rebound, so the views stay on the buffer. Gradients and Adam's
+    moments share this layout, so Adam runs over flat arrays.
 
     A is (M*K) x H with rows [i*K, (i+1)*K) forming codebook i, so a soft
     assignment flattened to (B, M*K) reconstructs as a single matrix product.
@@ -132,11 +133,6 @@ class ModelParams:
     def size(cfg):
         """Length of the flat buffer under a scheme."""
         return sum(math.prod(shape) for shape in ModelParams.shapes(cfg).values())
-
-    def validate(self, cfg):
-        """ConfigError unless cfg is the scheme this buffer is laid out for."""
-        if cfg != self.scheme:
-            raise ConfigError(f"parameters are for {self.scheme}, not {cfg}")
 
 
 @dataclass
@@ -212,7 +208,7 @@ def _raise_first_bad(stages):
             raise NumericError(f"non-finite values in forward stage '{stage}'")
 
 
-def encode(params, x, cfg, check=True):
+def encode(params, x, check=True):
     """Encoder: hidden layer h (B x hidden) and codeword scores alpha (B x M x K).
 
     alpha is floored at ALPHA_FLOOR. Training's forward pass and code export
@@ -228,7 +224,7 @@ def encode(params, x, cfg, check=True):
     raw += params.b_prime
     alpha = softplus(raw)
     np.maximum(alpha, raw.dtype.type(ALPHA_FLOOR), out=alpha)
-    alpha = alpha.reshape(x.shape[0], cfg.M, cfg.K)
+    alpha = alpha.reshape(x.shape[0], params.scheme.M, params.scheme.K)
     if check and not np.isfinite(alpha).all():
         _raise_first_bad((("hidden", h), ("alpha", alpha)))
     return h, alpha
@@ -252,11 +248,13 @@ def forward(params, batch, noise, cfg, hard=False):
     noise is a B x M x K matrix of Gumbel samples, or None for the
     deterministic mode used by validation and export. With hard=True the
     soft assignment is replaced by the exact one-hot of assign's code, which
-    is the reconstruction the discrete codes produce after export. params
-    must match cfg (ModelParams.validate); the per-step path does not
-    re-check it. A non-finite value raises NumericError naming the first
-    stage that holds one.
+    is the reconstruction the discrete codes produce after export. cfg must
+    equal params.scheme, or ConfigError is raised; it stays in the signature
+    because bench/checks.py passes it positionally. A non-finite value
+    raises NumericError naming the first stage that holds one.
     """
+    if cfg != params.scheme:
+        raise ConfigError(f"parameters are for {params.scheme}, not {cfg}")
     batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] != cfg.H:
         raise ConfigError(f"batch shape {batch.shape} does not match H={cfg.H}")
@@ -268,7 +266,7 @@ def forward(params, batch, noise, cfg, hard=False):
                 f"noise shape {noise.shape}, expected {(bsz, cfg.M, cfg.K)}"
             )
 
-    h, alpha = encode(params, batch, cfg, check=hard)
+    h, alpha = encode(params, batch, check=hard)
     if hard:
         d = np.zeros_like(alpha)
         np.put_along_axis(d, assign(alpha, noise)[:, :, None], 1.0, axis=2)
@@ -289,7 +287,7 @@ def forward(params, batch, noise, cfg, hard=False):
     return ForwardTrace(h=h, alpha=alpha, d=d, recon=recon, loss=loss)
 
 
-def backward(params, batch, cfg, trace, grads):
+def backward(params, batch, trace, grads):
     """Analytic gradients of the batch loss for all five parameter groups.
 
     Writes every group of grads, a ModelParams laid out like params, and
@@ -301,6 +299,7 @@ def backward(params, batch, cfg, trace, grads):
     """
     batch = np.asarray(batch)
     bsz = batch.shape[0]
+    cfg = params.scheme
     mk = cfg.M * cfg.K
     d_flat = trace.d.reshape(bsz, mk)
     alpha_flat = trace.alpha.reshape(bsz, mk)

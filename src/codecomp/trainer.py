@@ -35,7 +35,7 @@ CHECKPOINT_MAGIC = b"DCLM"
 # Share of the vocabulary held out for validation (before the caps below).
 VAL_FRACTION = 0.05
 
-# Iterations between validations; a shorter run validates once, at its end.
+# Iterations between validations; iteration 0 and the last are validated too.
 VALIDATE_EVERY = 1000
 
 
@@ -58,11 +58,11 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    best_val_loss: float | None
+    best_val_loss: float = math.inf  # inf only while no validation has passed
     val_loss_history: list = field(default_factory=list)  # (iteration, loss) pairs
     wall_time: float = 0.0
     iterations_run: int = 0
-    best_iteration: int | None = None
+    best_iteration: int = 0
 
 
 def split_validation(emb, tc, rng):
@@ -87,15 +87,16 @@ def split_validation(emb, tc, rng):
 def train(emb, tc):
     """Learn codes for an embedding matrix; returns (best params, report).
 
-    Every min(VALIDATE_EVERY, iterations) iterations the validation loss is
-    evaluated with zero noise and soft assignments, so the last
-    iterations % VALIDATE_EVERY steps of a longer run are not validated;
-    the parameters yielding the lowest validation loss seen so far are kept
-    and returned. With iterations = 0 the initial parameters are returned
-    and best_val_loss is None. A word with a NaN or infinite value raises
-    DataError naming it before training starts. A non-finite value in a
-    training step or in a validation forward aborts with NumericError
-    carrying the last-good parameters and the report so far.
+    Iteration it in 0..iterations is validated when it % VALIDATE_EVERY == 0
+    or it == iterations: the validation loss, with zero noise and soft
+    assignments, of the parameters after it steps (iteration 0 scores the
+    initial parameters). The parameters with the lowest validation loss
+    seen are kept and returned, so best_val_loss is always a float and
+    best_iteration an int. Validation draws no random numbers. A word with
+    a NaN or infinite value raises DataError naming it before training
+    starts. A non-finite value in a training step or in a validation
+    forward aborts with NumericError carrying the last-good parameters and
+    the report so far.
     """
     cfg = tc.scheme
     matrix = emb.matrix
@@ -112,24 +113,23 @@ def train(emb, tc):
     state = new_adam_state(params, lr=tc.lr)
     x_val = matrix[val_idx]
 
-    report = TrainReport(best_val_loss=None)
+    report = TrainReport()
     best_params = params.copy()
-    best_loss = np.inf
-    validate_every = min(VALIDATE_EVERY, tc.iterations)
 
-    for it in range(1, tc.iterations + 1):
-        batch_pos = rng.integers(0, len(train_idx), size=tc.batch_size)
-        xb = matrix[train_idx[batch_pos]]
-        noise = sample_gumbel(rng, tc.batch_size, cfg.M * cfg.K).reshape(
-            tc.batch_size, cfg.M, cfg.K
-        )
+    for it in range(tc.iterations + 1):
         try:
-            trace = forward(params, xb, noise, cfg)
-            backward(params, xb, cfg, trace, grads)
-            adam_step(params, grads, state)
-            val_loss = None
-            if it % validate_every == 0:
-                val_loss = forward(params, x_val, None, cfg).loss
+            if it:
+                batch_pos = rng.integers(0, len(train_idx), size=tc.batch_size)
+                xb = matrix[train_idx[batch_pos]]
+                noise = sample_gumbel(rng, tc.batch_size, cfg.M * cfg.K).reshape(
+                    tc.batch_size, cfg.M, cfg.K
+                )
+                trace = forward(params, xb, noise, cfg)
+                backward(params, xb, trace, grads)
+                adam_step(params, grads, state)
+            if it % VALIDATE_EVERY and it != tc.iterations:
+                continue
+            val_loss = forward(params, x_val, None, cfg).loss
         except NumericError as exc:
             report.iterations_run = it
             report.wall_time = time.perf_counter() - t_start
@@ -139,31 +139,27 @@ def train(emb, tc):
                 report=report,
             ) from exc
 
-        if val_loss is not None:
-            report.val_loss_history.append((it, val_loss))
-            log.info("iteration %d: validation loss %.6f", it, val_loss)
-            if val_loss < best_loss:
-                best_loss = val_loss
-                best_params = params.copy()
-                report.best_val_loss = val_loss
-                report.best_iteration = it
+        report.val_loss_history.append((it, val_loss))
+        log.info("iteration %d: validation loss %.6f", it, val_loss)
+        if val_loss < report.best_val_loss:
+            best_params = params.copy()
+            report.best_val_loss = val_loss
+            report.best_iteration = it
 
     report.iterations_run = tc.iterations
     report.wall_time = time.perf_counter() - t_start
-    if tc.iterations == 0:
-        report.best_iteration = 0  # the init comes back
     return best_params, report
 
 
-def save_checkpoint(path, params, cfg, iteration):
-    """Write a checkpoint: scheme dims, all five parameter groups, iteration.
+def save_checkpoint(path, params, iteration):
+    """Write a checkpoint of params: its scheme dims, all five groups, iteration.
 
-    Layout: magic "DCLM", version byte, u32 M/K/H little-endian, then the
-    flat parameter buffer (theta, b, theta_prime, b_prime, A, each
-    row-major) as little-endian float32, then a
-    u64 iteration counter (the iteration the saved parameters came from).
+    Layout: magic "DCLM", version byte, u32 M/K/H of params.scheme
+    little-endian, then the flat parameter buffer (theta, b, theta_prime,
+    b_prime, A, each row-major) as little-endian float32, then a u64
+    iteration counter (the iteration the saved parameters came from).
     """
-    params.validate(cfg)
+    cfg = params.scheme
     with open(path, "wb") as fh:
         fh.write(container.header(CHECKPOINT_MAGIC, cfg.M, cfg.K, cfg.H))
         fh.write(container.floats(params.flat))

@@ -31,9 +31,9 @@ def train_20k(emb, scheme, seed):
     return train(emb, tc)
 
 
-def hard_reconstruction_loss(params, emb, scheme):
+def hard_reconstruction_loss(params, emb):
     """Full-vocabulary squared error of the exported discrete codes."""
-    codes, books = export_codes(params, emb, scheme)
+    codes, books = export_codes(params, emb)
     recon = reconstruct_all(codes, books, vocab=emb.vocab)
     diff = recon.matrix.astype(np.float64) - emb.matrix.astype(np.float64)
     return float((diff ** 2).sum(axis=1).mean()), codes
@@ -90,7 +90,7 @@ def test_criterion_01_gradients_match_finite_differences():
     noise = tensor.gumbel_from_uniform(rng.random((3, 3, 4)))
 
     trace = model.forward(params, batch, noise, cfg)
-    grads = model.backward(params, batch, cfg, trace,
+    grads = model.backward(params, batch, trace,
                            model.ModelParams(cfg, dtype=np.float64))
 
     step = 1e-3
@@ -124,7 +124,7 @@ def test_criterion_02_synthetic_recovery(recovery_data, recovery_run):
         f"20K iterations took {report.wall_time:.0f}s, budget is 300s"
     )
     target = 10 * 16 * 0.01 ** 2
-    hard, _ = hard_reconstruction_loss(params, recovery_data, RECOVERY_SCHEME)
+    hard, _ = hard_reconstruction_loss(params, recovery_data)
     assert report.best_val_loss <= target, (
         f"best validation loss {report.best_val_loss:.6f} at iteration "
         f"{report.best_iteration} exceeds the recovery target {target} "
@@ -136,16 +136,16 @@ def test_criterion_03_storage_formulas():
     expected_bits = {(8, 64): 48, (16, 32): 80, (32, 16): 128, (64, 8): 192}
     for (m_books, k_words), bits in expected_bits.items():
         rep = size_report(SchemeConfig(M=m_books, K=k_words, H=300), 75102)
-        assert rep.code_bits_per_word == bits, (
-            f"({m_books},{k_words}) reports {rep.code_bits_per_word} bits, "
+        assert rep["code_bits_per_word"] == bits, (
+            f"({m_books},{k_words}) reports {rep['code_bits_per_word']} bits, "
             f"expected {bits}"
         )
-        assert rep.num_vectors == 512
+        assert rep["num_vectors"] == 512
         # A binary code over the same 512 basis vectors needs 256 bits.
-        assert rep.binary_equivalent_bits == 256
+        assert rep["binary_equivalent_bits"] == 256
     rep = size_report(SchemeConfig(M=32, K=16, H=300), 75102)
-    assert rep.code_bits_per_word == 128
-    assert rep.binary_equivalent_bits == 2 * rep.code_bits_per_word
+    assert rep["code_bits_per_word"] == 128
+    assert rep["binary_equivalent_bits"] == 2 * rep["code_bits_per_word"]
 
 
 def test_criterion_04_pack_unpack_bijection():
@@ -184,12 +184,11 @@ def test_criterion_05_capacity_trend(trend_runs):
 
 @pytest.mark.slow
 def test_criterion_06_no_dead_codewords(trend_data, trend_runs):
-    scheme = SchemeConfig(M=8, K=8, H=50)
     votes = 0
     rows = []
     for seed in (1, 2, 3):
         params = trend_runs[(8, 8, seed)][0]
-        codes, _ = export_codes(params, trend_data, scheme)
+        codes, _ = export_codes(params, trend_data)
         table = balance_table(codes)
         dead = int((table.counts == 0).sum())
         votes += dead == 0
@@ -218,7 +217,7 @@ def test_criterion_08_hard_forward_matches_composition(recovery_data, recovery_r
     params, _ = recovery_run
     trace = model.forward(params, recovery_data.matrix, None, RECOVERY_SCHEME,
                           hard=True)
-    mse, _ = hard_reconstruction_loss(params, recovery_data, RECOVERY_SCHEME)
+    mse, _ = hard_reconstruction_loss(params, recovery_data)
     rel = abs(mse - trace.loss) / max(abs(trace.loss), 1e-12)
     assert rel < 1e-4, (
         f"hard forward loss {trace.loss:.6f} vs composed reconstruction "
@@ -232,7 +231,7 @@ def test_criterion_09_learned_codes_beat_pq(recovery_data, recovery_runs_3seeds)
     wins = 0
     rows = []
     for seed, (params, _) in recovery_runs_3seeds.items():
-        learned, _ = hard_reconstruction_loss(params, recovery_data, RECOVERY_SCHEME)
+        learned, _ = hard_reconstruction_loss(params, recovery_data)
         won = learned <= pq_loss
         wins += won
         rows.append(f"seed {seed}: learned {learned:.4f} vs pq {pq_loss:.4f} "

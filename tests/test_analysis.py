@@ -38,34 +38,34 @@ class TestSizeReport:
         cases = {(8, 64): 48, (16, 32): 80, (32, 16): 128, (64, 8): 192}
         for (m_books, k_words), bits in cases.items():
             rep = size_report(SchemeConfig(M=m_books, K=k_words, H=300), 75102)
-            assert rep.code_bits_per_word == bits, (m_books, k_words)
+            assert rep["code_bits_per_word"] == bits, (m_books, k_words)
 
     def test_full_accounting_16_32(self):
         rep = size_report(SchemeConfig(M=16, K=32, H=300), 75102)
-        assert rep.num_vectors == 512
-        assert rep.vector_bytes == 512 * 300 * 4
-        assert rep.code_bytes_exact == 751020
-        assert rep.code_bytes_aligned == 751020
-        assert rep.total_bytes == 614400 + 751020
-        assert rep.baseline_bytes == 75102 * 300 * 4
-        assert rep.compression_ratio == pytest.approx(90122400 / 1365420)
-        assert rep.binary_equivalent_bits == 256
+        assert rep["num_vectors"] == 512
+        assert rep["vector_bytes"] == 512 * 300 * 4
+        assert rep["code_bytes_exact"] == 751020
+        assert rep["code_bytes_aligned"] == 751020
+        assert rep["total_bytes"] == 614400 + 751020
+        assert rep["baseline_bytes"] == 75102 * 300 * 4
+        assert rep["compression_ratio"] == pytest.approx(90122400 / 1365420)
+        assert rep["binary_equivalent_bits"] == 256
 
     def test_aligned_records_for_128_bit_codes(self):
         rep = size_report(SchemeConfig(M=32, K=16, H=300), 75102)
-        assert rep.code_bytes_aligned == 75102 * 16
-        assert rep.code_bytes_aligned == 1201632
+        assert rep["code_bytes_aligned"] == 75102 * 16
+        assert rep["code_bytes_aligned"] == 1201632
 
     def test_exact_vs_aligned_disagree_for_narrow_codes(self):
         rep = size_report(SchemeConfig(M=1, K=2, H=4), 10)
-        assert rep.code_bits_per_word == 1
-        assert rep.code_bytes_exact == 2   # ceil(10 bits / 8)
-        assert rep.code_bytes_aligned == 10
+        assert rep["code_bits_per_word"] == 1
+        assert rep["code_bytes_exact"] == 2   # ceil(10 bits / 8)
+        assert rep["code_bytes_aligned"] == 10
 
     def test_empty_vocab(self):
         rep = size_report(SchemeConfig(M=2, K=4, H=4), 0)
-        assert rep.code_bytes_exact == 0
-        assert rep.total_bytes == rep.vector_bytes
+        assert rep["code_bytes_exact"] == 0
+        assert rep["total_bytes"] == rep["vector_bytes"]
 
     def test_negative_vocab(self):
         with pytest.raises(ConfigError):
@@ -73,9 +73,14 @@ class TestSizeReport:
 
     def test_pairs_include_mb(self):
         rep = size_report(SchemeConfig(M=16, K=32, H=300), 75102)
-        pairs = dict(rep.as_pairs())
-        assert pairs["total_mb"] == pytest.approx(1.36542)
-        assert pairs["baseline_mb"] == pytest.approx(90.1224)
+        assert list(rep) == [
+            "M", "K", "H", "vocab_size", "num_vectors", "code_bits_per_word",
+            "code_bytes_exact", "code_bytes_aligned", "vector_bytes", "total_bytes",
+            "total_mb", "baseline_bytes", "baseline_mb", "compression_ratio",
+            "binary_equivalent_bits",
+        ]
+        assert rep["total_mb"] == pytest.approx(1.36542)
+        assert rep["baseline_mb"] == pytest.approx(90.1224)
 
 
 class TestBalanceTable:

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import codecomp
-from codecomp import codec, model, tensor, trainer
+from codecomp import codec, container, model, tensor, trainer
 from codecomp.cli import main
 from codecomp.embeddings import (
     EmbeddingMatrix,
@@ -136,6 +137,16 @@ class TestTrain:
         params, _, _ = trainer.load_checkpoint(out)
         assert np.all(np.isfinite(params.flat))
 
+    def test_zero_iterations_reports_the_initial_validation(self, emb_file, tmp_path,
+                                                             capsys):
+        out = tmp_path / "model.ckpt"
+        assert run_train(emb_file, out, extra=("--iters", "0")) == 0
+        report = kv(capsys.readouterr().out)
+        assert float(report["best_val_loss"]) > 0
+        assert report["final_val_loss"] == report["best_val_loss"]
+        assert report["best_iteration"] == "0"
+        assert trainer.load_checkpoint(out)[2] == 0
+
     def test_nan_lr_exits_2(self, emb_file, tmp_path, capsys):
         out = tmp_path / "model.ckpt"
         code = main([
@@ -199,7 +210,7 @@ class TestExportReconstruct:
         # The file must agree with an in-process export from the checkpoint.
         from codecomp.cli import _read_embeddings
         params, cfg, _ = trainer.load_checkpoint(trained)
-        want, _ = codec.export_codes(params, _read_embeddings(emb_file), cfg)
+        want, _ = codec.export_codes(params, _read_embeddings(emb_file))
         got, vocab = codec.read_code_file(codes_path)
         assert (got.M, got.K) == (want.M, want.K)
         assert np.array_equal(got.codes, want.codes)
@@ -266,6 +277,20 @@ class TestExportReconstruct:
             "--out", str(tmp_path / "r.txt"), "--quiet",
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["reconstruct", "balance"])
+    def test_zero_m_code_file_exits_3(self, tmp_path, capsys, command):
+        codes_path, books_path = tmp_path / "codes.bin", tmp_path / "books.bin"
+        codes_path.write_bytes(b"DCC1" + struct.pack("<BIII", 1, 0, 4, 2)
+                               + container.vocab_bytes(["a", "b"]))
+        books_path.write_bytes(b"DCB1" + struct.pack("<BIII", 1, 0, 4, 2))
+        out = tmp_path / "r.txt"
+        argv = {"reconstruct": ["--books", str(books_path), "--out", str(out)],
+                "balance": []}[command]
+        assert main([command, "--codes", str(codes_path), "--quiet", *argv]) == 3
+        err = capsys.readouterr().err
+        assert "offset 5: M must be >= 1, got 0" in err
+        assert not out.exists()
 
     def test_corrupt_code_file_exits_3(self, tmp_path):
         bad = tmp_path / "codes.bin"
@@ -398,7 +423,7 @@ class TestAnalysisCommands:
         path.write_text("a 1.0 2.0\nb 0.5 nan\nc 3.0 1.0\nd 0.5 0.5\n")
         ckpt = tmp_path / "model.ckpt"
         cfg = SchemeConfig(M=1, K=2, H=2)
-        trainer.save_checkpoint(ckpt, model.init_params(cfg, tensor.new_rng(0)), cfg, 0)
+        trainer.save_checkpoint(ckpt, model.init_params(cfg, tensor.new_rng(0)), 0)
         argv = [a.format(emb=path, out=out, ckpt=ckpt) for a in argv]
         assert main([argv[0], "--emb", str(path), "--quiet", *argv[1:]]) == 3
         captured = capsys.readouterr()

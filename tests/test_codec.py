@@ -62,7 +62,7 @@ class TestExport:
         params.b_prime[2] = 3.0   # book 0: codeword 2 wins
         params.b_prime[4 + 1] = 5.0  # book 1: codeword 1 wins
         emb = make_embeddings(6, 5)
-        codes, books = export_codes(params, emb, cfg)
+        codes, books = export_codes(params, emb)
         assert np.array_equal(codes.codes, np.tile([2, 1], (6, 1)))
         assert np.array_equal(books.vectors, params.A)
 
@@ -72,14 +72,14 @@ class TestExport:
         params.theta[...] = 0
         params.b[...] = 0
         params.b_prime[...] = 0
-        codes, _ = export_codes(params, make_embeddings(4, 5), cfg)
+        codes, _ = export_codes(params, make_embeddings(4, 5))
         assert np.array_equal(codes.codes, np.zeros((4, 2), dtype=np.int32))
 
     def test_chunked_export_matches_whole_matrix_math(self):
         cfg = SchemeConfig(M=2, K=4, H=4)
         params = model.init_params(cfg, tensor.new_rng(3))
         emb = make_embeddings(codec._EXPORT_CHUNK + 100, 4, seed=7)
-        codes, _ = export_codes(params, emb, cfg)
+        codes, _ = export_codes(params, emb)
         h = np.tanh(emb.matrix.astype(np.float64) @ params.theta + params.b)
         raw = h @ params.theta_prime + params.b_prime
         alpha = np.log1p(np.exp(np.minimum(raw, 30.0))) + np.maximum(raw - 30.0, 0)
@@ -90,7 +90,7 @@ class TestExport:
         cfg = SchemeConfig(M=2, K=4, H=5)
         params = model.init_params(cfg, tensor.new_rng(0))
         with pytest.raises(ConfigError):
-            export_codes(params, make_embeddings(4, 6), cfg)
+            export_codes(params, make_embeddings(4, 6))
 
     def test_non_finite_word_is_named(self):
         cfg = SchemeConfig(M=2, K=4, H=5)
@@ -99,23 +99,17 @@ class TestExport:
         emb.matrix[4, 2] = np.nan
         emb.matrix[5, 0] = np.inf
         with pytest.raises(DataError, match=r"'w4' \(row 4\).*export"):
-            export_codes(params, emb, cfg)
-
-    @pytest.mark.parametrize("M, K, H", [(4, 4, 5), (2, 8, 5), (2, 4, 6)])
-    def test_scheme_mismatch(self, M, K, H):
-        params = model.init_params(SchemeConfig(M=2, K=4, H=5), tensor.new_rng(0))
-        with pytest.raises(ConfigError):
-            export_codes(params, make_embeddings(4, H), SchemeConfig(M=M, K=K, H=H))
+            export_codes(params, emb)
 
     def test_sampled_export_is_seeded_and_in_range(self):
         cfg = SchemeConfig(M=2, K=8, H=5)
         params = model.init_params(cfg, tensor.new_rng(1))
         emb = make_embeddings(50, 5)
-        a, _ = export_codes(params, emb, cfg, noise_rng=tensor.new_rng(4))
-        b, _ = export_codes(params, emb, cfg, noise_rng=tensor.new_rng(4))
+        a, _ = export_codes(params, emb, noise_rng=tensor.new_rng(4))
+        b, _ = export_codes(params, emb, noise_rng=tensor.new_rng(4))
         assert np.array_equal(a.codes, b.codes)
         assert a.codes.min() >= 0 and a.codes.max() < 8
-        c, _ = export_codes(params, emb, cfg, noise_rng=tensor.new_rng(5))
+        c, _ = export_codes(params, emb, noise_rng=tensor.new_rng(5))
         assert not np.array_equal(a.codes, c.codes)
 
 
@@ -238,6 +232,13 @@ class TestPacking:
             unpack_codes(blob)
         assert "offset 9" in str(err.value)
 
+    def test_zero_m_in_header(self):
+        import struct
+        blob = b"DCC1" + struct.pack("<BIII", 1, 0, 4, 3)
+        with pytest.raises(DataError, match="M must be >= 1, got 0") as err:
+            unpack_codes(blob)
+        assert "offset 5" in str(err.value)
+
     def test_truncated_payload_reports_offset(self):
         codes = CodeMatrix(2, 4, np.array([[1, 2], [3, 0]]))
         blob = pack_codes(codes)
@@ -288,6 +289,15 @@ class TestCodebookFile:
         with pytest.raises(DataError, match="magic"):
             read_codebook_file(path)
 
+    @pytest.mark.parametrize("M, K, offset", [(0, 4, 5), (2, 3, 9)])
+    def test_bad_scheme_in_header_names_the_field(self, tmp_path, M, K, offset):
+        import struct
+        path = tmp_path / "books.bin"
+        path.write_bytes(b"DCB1" + struct.pack("<BIII", 1, M, K, 2)
+                         + bytes(4 * M * K * 2))
+        with pytest.raises(DataError, match=f"offset {offset}"):
+            read_codebook_file(path)
+
     def test_truncated_payload(self, tmp_path):
         books = Codebooks(2, 4, 3, np.zeros((8, 3), dtype=np.float32))
         path = tmp_path / "books.bin"
@@ -306,7 +316,7 @@ class TestHardForwardAgreement:
         params = model.init_params(cfg, tensor.new_rng(13))
         emb = make_embeddings(40, 6, seed=14)
         trace = model.forward(params, emb.matrix, None, cfg, hard=True)
-        codes, books = export_codes(params, emb, cfg)
+        codes, books = export_codes(params, emb)
         recon = reconstruct_all(codes, books, vocab=emb.vocab)
         diff = recon.matrix.astype(np.float64) - emb.matrix.astype(np.float64)
         mse = float((diff ** 2).sum(axis=1).mean())
@@ -320,7 +330,7 @@ class TestHardForwardAgreement:
         params.b_prime[...] = [12.0, np.nextafter(np.float32(12.0), np.float32(np.inf))]
         params.A[...] = np.eye(2)
         emb = make_embeddings(3, 2)
-        codes, _ = export_codes(params, emb, cfg)
+        codes, _ = export_codes(params, emb)
         assert np.array_equal(codes.codes, np.ones((3, 1)))
         trace = model.forward(params, emb.matrix, None, cfg, hard=True)
         assert np.array_equal(trace.d.reshape(3, 2), np.tile([0.0, 1.0], (3, 1)))

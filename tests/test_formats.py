@@ -41,14 +41,14 @@ def write_golden_files(root):
     # Non-ASCII words exercise the UTF-8 length prefixes.
     emb = EmbeddingMatrix(vocab=[f"wörd{i}日" for i in range(emb.vocab_size)],
                           matrix=emb.matrix)
-    save_checkpoint(root / "model.ckpt", params, cfg, iteration=12345)
+    save_checkpoint(root / "model.ckpt", params, iteration=12345)
     write_binary_matrix(emb, root / "emb.bin")
     codec.write_code_file(root / "synthetic_codes.bin", codes, emb.vocab)
     codec.write_codebook_file(root / "synthetic_books.bin", books)
-    got, got_books = codec.export_codes(params, emb, cfg)
+    got, got_books = codec.export_codes(params, emb)
     codec.write_code_file(root / "export_codes.bin", got, emb.vocab)
     codec.write_codebook_file(root / "export_books.bin", got_books)
-    noisy, _ = codec.export_codes(params, emb, cfg, noise_rng=tensor.new_rng(5))
+    noisy, _ = codec.export_codes(params, emb, noise_rng=tensor.new_rng(5))
     codec.write_code_file(root / "noisy_codes.bin", noisy, emb.vocab)
 
 
@@ -138,7 +138,7 @@ def test_checkpoint_roundtrip(tmp_path, data):
     cfg = data.draw(schemes())
     params = model.ModelParams(cfg, data.draw(finite_arrays((model.ModelParams.size(cfg),))))
     iteration = data.draw(st.integers(0, 2 ** 64 - 1))
-    save_checkpoint(tmp_path / "model.ckpt", params, cfg, iteration)
+    save_checkpoint(tmp_path / "model.ckpt", params, iteration)
     got, got_cfg, got_iteration = load_checkpoint(tmp_path / "model.ckpt")
     assert (got_cfg.M, got_cfg.K, got_cfg.H, got_iteration) == (
         cfg.M, cfg.K, cfg.H, iteration)
@@ -156,7 +156,7 @@ def small_files(root):
     codec.write_codebook_file(root / "books.bin", codec.Codebooks(
         2, 4, 3, np.arange(24, dtype=np.float32).reshape(8, 3)))
     save_checkpoint(root / "model.ckpt", model.init_params(cfg, tensor.new_rng(0)),
-                    cfg, iteration=7)
+                    iteration=7)
 
 
 @pytest.mark.parametrize("name, reader", [

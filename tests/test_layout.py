@@ -1,4 +1,8 @@
-"""Source layout checks: every name a codecomp module imports is used there."""
+"""Source layout checks on src/codecomp.
+
+Every name a module imports is used there, and a function that takes
+params reads the scheme from params.scheme rather than taking it again.
+"""
 
 import ast
 from pathlib import Path
@@ -40,3 +44,39 @@ def test_unused_import_is_caught(tmp_path):
     path.write_text("import os\nimport numpy as np\nfrom math import inf, pi\n"
                     "x = np.zeros(1) + pi\n")
     assert unused_imports(path) == ["inf", "os"]
+
+
+# forward keeps its cfg argument (checked against params.scheme) because
+# bench/checks.py passes it positionally.
+SCHEME_ARG_ALLOWED = {("model", "forward")}
+
+
+def functions_taking_params_and_scheme(path):
+    """Names of functions in path with a params argument and a cfg or scheme one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if "params" in names and names & {"cfg", "scheme"}:
+                found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_params_carry_their_scheme(path):
+    doubled = [name for name in functions_taking_params_and_scheme(path)
+               if (path.stem, name) not in SCHEME_ARG_ALLOWED]
+    assert doubled == [], (
+        f"{path.name}: {doubled} take params and a scheme; read params.scheme"
+    )
+
+
+def test_scheme_next_to_params_is_caught(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def a(params, x, cfg):\n    pass\n"
+                    "def b(path, params, *, scheme=None):\n    pass\n"
+                    "def c(cfg, rng):\n    pass\n"
+                    "def d(params, x):\n    pass\n")
+    assert functions_taking_params_and_scheme(path) == ["a", "b"]

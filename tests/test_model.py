@@ -142,6 +142,19 @@ class TestForward:
         with pytest.raises(ConfigError):
             model.forward(params, np.zeros((3, 4), dtype=np.float32), None, cfg)
 
+    @pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard"])
+    @pytest.mark.parametrize("M, K, H", [(4, 2, 3), (2, 8, 3), (1, 4, 3), (2, 4, 5)],
+                             ids=["swapped", "K", "M", "H"])
+    def test_scheme_other_than_params_is_rejected(self, M, K, H, hard):
+        # M=2, K=4 and M=4, K=2 give every group the same shape, so only
+        # the params' own scheme tells them apart.
+        params = model.init_params(SchemeConfig(M=2, K=4, H=3), tensor.new_rng(0))
+        cfg = SchemeConfig(M=M, K=K, H=H)
+        x = np.ones((2, H), dtype=np.float32)
+        noise = np.zeros((2, M, K), dtype=np.float32)
+        with pytest.raises(ConfigError, match=r"parameters are for .*M=2, K=4, H=3"):
+            model.forward(params, x, noise, cfg, hard=hard)
+
     def test_non_finite_batch_raises_named_stage(self):
         cfg = SchemeConfig(M=2, K=4, H=5)
         params = model.init_params(cfg, tensor.new_rng(0))
@@ -226,13 +239,6 @@ class TestModelParams:
         with pytest.raises(AttributeError):
             setattr(params, name, np.zeros_like(getattr(params, name)))
 
-    def test_swapped_m_and_k_do_not_validate(self):
-        # M=2, K=4 and M=4, K=2 give every group the same shape.
-        params = model.init_params(SchemeConfig(M=2, K=4, H=3), tensor.new_rng(0))
-        params.validate(SchemeConfig(M=2, K=4, H=3))
-        with pytest.raises(ConfigError, match="M=2, K=4, H=3"):
-            params.validate(SchemeConfig(M=4, K=2, H=3))
-
     def test_buffer_of_wrong_length_is_rejected(self):
         cfg = SchemeConfig(M=2, K=4, H=3)
         with pytest.raises(ConfigError, match="buffer"):
@@ -247,7 +253,7 @@ class TestBackward:
         x = np.zeros((2, 3), dtype=np.float32)
         trace = model.forward(params, x, None, cfg)
         assert trace.loss == 0.0
-        grads = model.backward(params, x, cfg, trace, model.ModelParams(cfg))
+        grads = model.backward(params, x, trace, model.ModelParams(cfg))
         assert np.array_equal(grads.flat, np.zeros_like(grads.flat))
 
     def test_duplicating_batch_rows_leaves_gradients_unchanged(self):
@@ -257,11 +263,11 @@ class TestBackward:
         x = rng.standard_normal((3, 6)).astype(np.float32)
         noise = tensor.sample_gumbel(rng, 3, 12).reshape(3, 3, 4)
         trace = model.forward(params, x, noise, cfg)
-        grads = model.backward(params, x, cfg, trace, model.ModelParams(cfg))
+        grads = model.backward(params, x, trace, model.ModelParams(cfg))
         x2 = np.vstack([x, x])
         noise2 = np.vstack([noise, noise])
         trace2 = model.forward(params, x2, noise2, cfg)
-        grads2 = model.backward(params, x2, cfg, trace2, model.ModelParams(cfg))
+        grads2 = model.backward(params, x2, trace2, model.ModelParams(cfg))
         for name in model.PARAM_NAMES:
             assert np.allclose(getattr(grads, name), getattr(grads2, name),
                                rtol=1e-5, atol=1e-8), name

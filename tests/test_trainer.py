@@ -98,17 +98,20 @@ class TestTrain:
         params, report = train(emb, tc)
         # Replay the draw order by hand: split first, then init.
         rng = tensor.new_rng(tc.seed)
-        split_validation(emb, tc, rng)
+        _, val_idx = split_validation(emb, tc, rng)
         expected = model.init_params(tc.scheme, rng)
         assert np.array_equal(params.flat, expected.flat)
-        assert report.best_val_loss is None
-        assert report.val_loss_history == []
+        loss = model.forward(expected, emb.matrix[val_idx], None, tc.scheme).loss
+        assert report.val_loss_history == [(0, loss)]
+        assert isinstance(report.best_val_loss, float)
+        assert report.best_val_loss == loss
+        assert report.best_iteration == 0
         assert report.iterations_run == 0
 
     def test_validation_cadence(self):
-        # Every VALIDATE_EVERY iterations, or once at the end of a shorter run.
+        # The start, every VALIDATE_EVERY iterations, and the end.
         emb = small_embeddings()
-        for iterations, validated in [(300, [300]), (2500, [1000, 2000])]:
+        for iterations, validated in [(300, [0, 300]), (2500, [0, 1000, 2000, 2500])]:
             _, report = train(emb, small_config(iterations=iterations))
             assert [it for it, _ in report.val_loss_history] == validated
             assert report.iterations_run == iterations
@@ -167,12 +170,9 @@ class TestTrain:
         tc = TrainConfig(scheme=SchemeConfig(M=2, K=4, H=8), batch_size=32,
                          lr=1e-2, iterations=2000, seed=4)
         _, report = train(emb, tc)
-        # Replay the draw order to score the initial parameters.
-        rng = tensor.new_rng(tc.seed)
-        _, val_idx = split_validation(emb, tc, rng)
-        init = model.init_params(tc.scheme, rng)
-        before = model.forward(init, emb.matrix[val_idx], None, tc.scheme).loss
-        assert report.best_val_loss < 0.5 * before
+        # Iteration 0 scores the initial parameters.
+        assert report.val_loss_history[0][0] == 0
+        assert report.best_val_loss < 0.5 * report.val_loss_history[0][1]
 
     def test_dimension_mismatch(self):
         emb = small_embeddings(dim=8)
@@ -199,6 +199,9 @@ class TestTrain:
         assert np.all(np.isfinite(err.params.flat))
         assert err.report is not None
         assert err.report.iterations_run >= 1
+        # Only the initial parameters were validated before the blow-up.
+        assert err.report.best_iteration == 0
+        assert math.isfinite(err.report.best_val_loss)
 
 
     def test_diverged_validation_carries_last_good_params(self, monkeypatch):
@@ -245,7 +248,7 @@ def test_trained_checkpoint_digest(tmp_path, shape):
     tc = TrainConfig(scheme=cfg, lr=1e-3, iterations=iterations, seed=7)
     params, report = train(emb, tc)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, cfg, report.best_iteration)
+    save_checkpoint(path, params, report.best_iteration)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAINED_GOLDEN[shape]
 
 
@@ -254,7 +257,7 @@ class TestCheckpoint:
         cfg = SchemeConfig(M=3, K=8, H=7)
         params = model.init_params(cfg, tensor.new_rng(8))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, cfg, iteration=4321)
+        save_checkpoint(path, params, iteration=4321)
         loaded, cfg2, iteration = load_checkpoint(path)
         assert (cfg2.M, cfg2.K, cfg2.H) == (3, 8, 7)
         assert iteration == 4321
@@ -264,7 +267,7 @@ class TestCheckpoint:
         cfg = SchemeConfig(M=2, K=4, H=5)
         params = model.init_params(cfg, tensor.new_rng(0))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, cfg, iteration=0)
+        save_checkpoint(path, params, iteration=0)
         raw = path.read_bytes()
         assert raw[:4] == b"DCLM"
         assert raw[4] == 1
@@ -283,7 +286,7 @@ class TestCheckpoint:
         cfg = SchemeConfig(M=2, K=4, H=5)
         params = model.init_params(cfg, tensor.new_rng(0))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, cfg, iteration=0)
+        save_checkpoint(path, params, iteration=0)
         raw = bytearray(path.read_bytes())
         raw[4] = 9
         path.write_bytes(bytes(raw))
@@ -294,25 +297,17 @@ class TestCheckpoint:
         cfg = SchemeConfig(M=2, K=4, H=5)
         params = model.init_params(cfg, tensor.new_rng(0))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, cfg, iteration=0)
+        save_checkpoint(path, params, iteration=0)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(DataError, match="offset"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("M, K, H", [(4, 4, 5), (2, 8, 5), (2, 4, 6)])
-    def test_scheme_mismatch_is_rejected_before_writing(self, tmp_path, M, K, H):
-        params = model.init_params(SchemeConfig(M=2, K=4, H=5), tensor.new_rng(0))
-        path = tmp_path / "model.ckpt"
-        with pytest.raises(ConfigError):
-            save_checkpoint(path, params, SchemeConfig(M=M, K=K, H=H), iteration=0)
-        assert not path.exists()
-
     def test_missing_iteration_counter(self, tmp_path):
         cfg = SchemeConfig(M=2, K=4, H=5)
         params = model.init_params(cfg, tensor.new_rng(0))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, cfg, iteration=0)
+        save_checkpoint(path, params, iteration=0)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(DataError, match="iteration"):
