@@ -13,7 +13,7 @@ import numpy as np
 
 from .codec import Codebooks, CodeMatrix
 from .errors import ConfigError
-from .model import check_k
+from .model import check_scheme
 from .tensor import new_rng
 
 _OVERLAP_CHUNK = 256
@@ -230,7 +230,7 @@ def pq_baseline(emb, M, K, iterations=25, seed=0, threads=1):
     vocab_size, dim = matrix.shape
     if not 1 <= M <= dim:
         raise ConfigError(f"M must be between 1 and H={dim}, got {M}")
-    check_k(K)
+    check_scheme(M, K, dim)
     if vocab_size < K:
         raise ConfigError(f"need at least K={K} words, got {vocab_size}")
     emb.require_finite("PQ")

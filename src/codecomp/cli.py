@@ -4,7 +4,8 @@ One subcommand per invocation. Reports go to stdout (human text by default,
 key<TAB>value lines with --format kv); progress logs go to stderr and are
 suppressed by --quiet. Configuration precedence is flags, then CODECOMP_*
 environment variables, then defaults. Exit codes: 2 for configuration
-errors, 3 for data errors, 4 for numeric failures.
+errors and for paths that cannot be read or written, 3 for data errors,
+4 for numeric failures.
 """
 
 import argparse
@@ -15,7 +16,6 @@ import sys
 from . import analysis, codec, embeddings, trainer
 from .errors import CodecompError, ConfigError, NumericError
 from .model import SchemeConfig
-from .tensor import new_rng
 
 log = logging.getLogger("codecomp.cli")
 
@@ -46,11 +46,8 @@ def _env_int(name, default, minimum):
 
 def _read_embeddings(path, limit=None):
     """Load a text or binary embedding file, sniffing the binary magic."""
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-    except OSError as exc:
-        raise ConfigError(f"cannot read embeddings: {exc}")
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
     if magic == embeddings.MATRIX_MAGIC:
         emb = embeddings.read_binary_matrix(path)
         if limit is not None:
@@ -103,10 +100,7 @@ def cmd_train(args):
 def cmd_export(args):
     params, cfg, _ = trainer.load_checkpoint(args.checkpoint)
     emb = _read_embeddings(args.emb)
-    noise_rng = None
-    if args.sample_noise_seed is not None:
-        noise_rng = new_rng(args.sample_noise_seed)
-    codes, books = codec.export_codes(params, emb, noise_rng=noise_rng)
+    codes, books = codec.export_codes(params, emb)
     codec.write_code_file(args.codes, codes, emb.vocab)
     codec.write_codebook_file(args.books, books)
     sys.stdout.write(analysis.format_pairs(
@@ -215,12 +209,17 @@ def cmd_nn_overlap(args):
     return 0
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--quiet", action="store_true",
+def _add_common_flags(parser, formats=("text", "kv")):
+    """Add the flags every subcommand takes; returns parser."""
+    parser.add_argument("--quiet", action="store_true",
                         help="suppress progress logs on stderr")
-    common.add_argument("--format", choices=("text", "kv", "csv"), default="text",
-                        help="report format (csv applies to balance only)")
+    parser.add_argument("--format", choices=formats, default="text",
+                        help="report format")
+    return parser
+
+
+def build_parser():
+    common = _add_common_flags(argparse.ArgumentParser(add_help=False))
     # What _load_recon reads: the original and one reconstruction source.
     compare = argparse.ArgumentParser(add_help=False)
     compare.add_argument("--emb", required=True, help="original embeddings")
@@ -257,8 +256,6 @@ def build_parser():
     p.add_argument("--emb", required=True)
     p.add_argument("--codes", required=True, help="code file output path")
     p.add_argument("--books", required=True, help="codebook file output path")
-    p.add_argument("--sample-noise-seed", type=_count(0), default=None,
-                   help="sample noisy codes instead of the deterministic argmax")
     p.set_defaults(fn=cmd_export)
 
     p = sub.add_parser("reconstruct", parents=[common],
@@ -275,8 +272,9 @@ def build_parser():
                        help="reconstruction quality report")
     p.set_defaults(fn=cmd_stats)
 
-    p = sub.add_parser("balance", parents=[common],
-                       help="per-component subcode usage counts")
+    # balance alone writes csv; its own flags cost less than a second parent.
+    p = sub.add_parser("balance", help="per-component subcode usage counts")
+    _add_common_flags(p, ("text", "kv", "csv"))
     p.add_argument("--codes", required=True)
     p.set_defaults(fn=cmd_balance)
 
@@ -333,6 +331,9 @@ def main(argv=None):
     except CodecompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # a path that cannot be opened names itself
+        print(f"error: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ import numpy as np
 from . import container
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
-from .model import assign, bits_per_word, check_k, encode
+from .model import assign, bits_per_word, check_scheme, encode
 # matmul is unused here, but bench/tracing.py patches codec.matmul by name.
-from .tensor import matmul, sample_gumbel  # noqa: F401
+from .tensor import matmul  # noqa: F401
 
 CODE_MAGIC = b"DCC1"
 BOOK_MAGIC = b"DCB1"
@@ -28,10 +28,10 @@ class CodeMatrix:
 
     def __init__(self, M, K, codes):
         M, K = int(M), int(K)
+        check_scheme(M, K)
         codes = np.asarray(codes)
         if codes.ndim != 2 or codes.shape[1] != M:
             raise ConfigError(f"codes shape {codes.shape} does not match M={M}")
-        check_k(K)
         if codes.size and (codes.min() < 0 or codes.max() >= K):
             raise DataError(
                 f"code components must lie in [0, {K - 1}], "
@@ -63,6 +63,7 @@ class Codebooks:
 
     def __init__(self, M, K, H, vectors):
         M, K, H = int(M), int(K), int(H)
+        check_scheme(M, K, H)
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.shape != (M * K, H):
             raise ConfigError(
@@ -76,13 +77,12 @@ class Codebooks:
         self.vectors = vectors
 
 
-def export_codes(params, emb, noise_rng=None):
-    """Hard codes for every word under params.scheme, as model.assign picks them.
+def export_codes(params, emb):
+    """Codes and codebooks for every word under params.scheme.
 
-    Passing noise_rng adds Gumbel noise to the log scores before the argmax,
-    giving stochastic codes for experimentation; the default deterministic
-    path is what training's hard-mode loss and the file formats are defined
-    against. A word with a NaN or infinite value raises DataError naming it.
+    Each code is the argmax of the word's scores, as model.assign picks it,
+    so the exported codes reconstruct exactly what hard forward scores.
+    A word with a NaN or infinite value raises DataError naming it.
     """
     cfg = params.scheme
     matrix = emb.matrix
@@ -95,11 +95,7 @@ def export_codes(params, emb, noise_rng=None):
     out = np.empty((vocab_size, cfg.M), dtype=np.int32)
     for start in range(0, vocab_size, _EXPORT_CHUNK):
         _, alpha = encode(params, matrix[start:start + _EXPORT_CHUNK])
-        noise = None
-        if noise_rng is not None:
-            noise = sample_gumbel(noise_rng, len(alpha), cfg.M * cfg.K)
-            noise = noise.reshape(alpha.shape)
-        out[start:start + _EXPORT_CHUNK] = assign(alpha, noise)
+        out[start:start + _EXPORT_CHUNK] = assign(alpha)
     books = Codebooks(cfg.M, cfg.K, cfg.H, params.A.copy())
     return CodeMatrix(cfg.M, cfg.K, out), books
 
@@ -147,17 +143,17 @@ def pack_codes(codes):
     return header + packed.tobytes()
 
 
-def _check_m_k(m, k, source):
-    """DataError naming the header field unless M >= 1 and K is a power of 2 >= 2.
+def _check_header(source, m, k, h=1):
+    """DataError naming the first header field that breaks the scheme rule.
 
-    Code and codebook headers both start with u32 M at offset 5 and K at 9.
+    Code and codebook headers hold u32 M at offset 5, K at 9 and (codebooks)
+    H at 13. Each field is checked alone, with valid stand-ins for the others.
     """
-    if m < 1:
-        raise DataError(f"{source}: header at offset 5: M must be >= 1, got {m}")
-    try:
-        check_k(k)
-    except ConfigError as exc:
-        raise DataError(f"{source}: header at offset 9: {exc}") from exc
+    for offset, fields in ((5, (m, 2, 1)), (9, (1, k, 1)), (13, (1, 2, h))):
+        try:
+            check_scheme(*fields)
+        except ConfigError as exc:
+            raise DataError(f"{source}: header at offset {offset}: {exc}") from exc
 
 
 def unpack_codes(data, source="code data"):
@@ -166,7 +162,7 @@ def unpack_codes(data, source="code data"):
     Code files append the vocabulary after the records. source prefixes errors.
     """
     (m, k, vocab_size), offset = container.read_header(data, CODE_MAGIC, 3, source)
-    _check_m_k(m, k, source)
+    _check_header(source, m, k)
     bits = bits_per_word(1, k)  # per component
     shape = (vocab_size, (m * bits + 7) // 8)
     raw, offset = container.read_array(data, offset, shape, source, dtype=np.uint8)
@@ -206,6 +202,6 @@ def read_codebook_file(path):
     with open(path, "rb") as fh:
         data = fh.read()
     (m, k, h), offset = container.read_header(data, BOOK_MAGIC, 3, path)
-    _check_m_k(m, k, path)
+    _check_header(path, m, k, h)
     vectors, _ = container.read_array(data, offset, (m * k, h), path)
     return Codebooks(m, k, h, vectors)

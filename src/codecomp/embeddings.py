@@ -122,11 +122,7 @@ def write_text_embeddings(emb, path):
             )
     with open(path, "w", encoding="utf-8") as fh:
         for word, row in zip(emb.vocab, emb.matrix):
-            fh.write(word)
-            for value in row:
-                fh.write(" ")
-                fh.write(repr(float(value)))
-            fh.write("\n")
+            fh.write(" ".join([word, *map(repr, row.tolist())]) + "\n")
 
 
 def write_binary_matrix(emb, path):

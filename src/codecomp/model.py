@@ -8,8 +8,9 @@ The network embeds a batch of word vectors x (B x H) as follows:
     recon  = sum_i d_i @ A_i                         additive reconstruction
 
 where G is Gumbel(0, 1) noise and A stacks M codebooks of K codewords each.
-A word's code is the argmax of its scores (assign); hard forward passes and
-code export both take it there.
+Noise is a training device: only the soft forward pass takes it. A word's
+code is the argmax of its scores (assign); hard forward passes and code
+export both take it there.
 The training loss is the squared L2 distance summed over dimensions and
 averaged over the batch. Backpropagation is written out analytically; the
 Gumbel noise enters through the reparameterized soft assignment, so the
@@ -41,10 +42,17 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def check_k(K):
-    """Raise ConfigError unless K, the codewords per codebook, is a power of 2 >= 2."""
+def check_scheme(M, K, H=1):
+    """Raise ConfigError unless M >= 1, K is a power of 2 >= 2 and H >= 1.
+
+    The scheme rule, which SchemeConfig, CodeMatrix and Codebooks apply.
+    """
+    if M < 1:
+        raise ConfigError(f"M must be >= 1, got {M}")
     if K < 2 or (K & (K - 1)) != 0:
         raise ConfigError(f"K must be a power of 2 and >= 2, got {K}")
+    if H < 1:
+        raise ConfigError(f"H must be >= 1, got {H}")
 
 
 def bits_per_word(M, K):
@@ -61,11 +69,7 @@ class SchemeConfig:
     H: int
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ConfigError(f"M must be >= 1, got {self.M}")
-        check_k(self.K)
-        if self.H < 1:
-            raise ConfigError(f"H must be >= 1, got {self.H}")
+        check_scheme(self.M, self.K, self.H)
 
     @property
     def hidden(self):
@@ -230,26 +234,25 @@ def encode(params, x, check=True):
     return h, alpha
 
 
-def assign(alpha, noise=None):
-    """Codes (B x M): the argmax over K of alpha, or of log(alpha) + noise.
+def assign(alpha):
+    """Codes (B x M): the argmax over K of alpha (B x M x K).
 
     The one code assignment rule; hard forward passes and code export both
-    call it. noise is Gumbel noise shaped like alpha. Ties go to the smaller
-    index. Without noise the argmax runs on alpha itself, since a float32
-    log can merge two adjacent scores.
+    call it. Ties go to the smaller index. The argmax runs on alpha itself,
+    not on log(alpha), since a float32 log can merge two adjacent scores.
     """
-    scores = alpha if noise is None else np.log(alpha) + noise
-    return scores.argmax(axis=2)
+    return alpha.argmax(axis=2)
 
 
 def forward(params, batch, noise, cfg, hard=False):
     """Run the autoencoder on a batch, returning all intermediate stages.
 
-    noise is a B x M x K matrix of Gumbel samples, or None for the
-    deterministic mode used by validation and export. With hard=True the
-    soft assignment is replaced by the exact one-hot of assign's code, which
-    is the reconstruction the discrete codes produce after export. cfg must
-    equal params.scheme, or ConfigError is raised; it stays in the signature
+    noise is a B x M x K matrix of Gumbel samples for a training step, or
+    None for the deterministic soft pass validation scores. With hard=True
+    the soft assignment is replaced by the exact one-hot of assign's code,
+    which is the reconstruction the exported codes produce; hard mode takes
+    no noise, and passing some raises ConfigError. cfg must equal
+    params.scheme, or ConfigError is raised; it stays in the signature
     because bench/checks.py passes it positionally. A non-finite value
     raises NumericError naming the first stage that holds one.
     """
@@ -260,6 +263,8 @@ def forward(params, batch, noise, cfg, hard=False):
         raise ConfigError(f"batch shape {batch.shape} does not match H={cfg.H}")
     bsz = batch.shape[0]
     if noise is not None:
+        if hard:
+            raise ConfigError("hard forward takes no noise: a code is alpha's argmax")
         noise = np.asarray(noise)
         if noise.shape != (bsz, cfg.M, cfg.K):
             raise ConfigError(
@@ -269,7 +274,7 @@ def forward(params, batch, noise, cfg, hard=False):
     h, alpha = encode(params, batch, check=hard)
     if hard:
         d = np.zeros_like(alpha)
-        np.put_along_axis(d, assign(alpha, noise)[:, :, None], 1.0, axis=2)
+        np.put_along_axis(d, assign(alpha)[:, :, None], 1.0, axis=2)
     else:
         logits = np.log(alpha)
         if noise is not None:

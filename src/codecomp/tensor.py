@@ -8,7 +8,9 @@ here pin down the numeric conventions the rest of the package relies on:
   training), so each entry is within inner * eps * (|a| @ |b|) of the
   exact product,
 * random numbers come from numpy's PCG64 generator, so a seed fixes the
-  entire sample stream bit-exactly on a given build.
+  entire sample stream bit-exactly on a given build,
+* Gumbel noise, which only training's soft forward pass takes, is drawn
+  here and nowhere else.
 
 Functions are dtype-generic: feeding float64 arrays through keeps the whole
 computation in float64, which the gradient tests use as a high-precision
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Clamp for uniform draws before the double-log Gumbel transform.
+# Floor for uniform draws before the double-log Gumbel transform.
 GUMBEL_EPS = 1e-20
 
 
@@ -64,24 +66,17 @@ def softplus(x):
     return out
 
 
-def gumbel_from_uniform(u):
-    """Map uniform draws to Gumbel(0, 1) samples: g = -log(-log(u)).
+def sample_gumbel(rng, shape):
+    """Gumbel(0, 1) noise of the given shape as float32: g = -log(-log(u)).
 
-    u is clamped to [1e-20, 1 - 1e-20] first; the inner -log(u) is floored
-    at 1e-20 as well so u values indistinguishable from 1.0 in float64
-    (where the upper clamp is a no-op) still map to a finite sample. The
-    floor is unreachable for generator output, whose largest draw is
-    1 - 2^-53, so the sample stream is unaffected.
+    u is a float64 uniform draw on [0, 1), floored at GUMBEL_EPS so that
+    u = 0 maps to a finite sample. That floor is the one clamp generator
+    output can reach: its largest draw, 1 - 2^-53, already gives a finite g.
     """
-    g = np.clip(np.asarray(u, dtype=np.float64), GUMBEL_EPS, 1.0 - GUMBEL_EPS)
-    np.log(g, out=g)
-    np.negative(g, out=g)
+    g = rng.random(shape)
     np.maximum(g, GUMBEL_EPS, out=g)
     np.log(g, out=g)
     np.negative(g, out=g)
-    return g
-
-
-def sample_gumbel(rng, rows, cols):
-    """rows x cols matrix of Gumbel(0, 1) noise as float32."""
-    return gumbel_from_uniform(rng.random((rows, cols))).astype(np.float32)
+    np.log(g, out=g)
+    np.negative(g, out=g)
+    return g.astype(np.float32)

@@ -121,9 +121,7 @@ def train(emb, tc):
             if it:
                 batch_pos = rng.integers(0, len(train_idx), size=tc.batch_size)
                 xb = matrix[train_idx[batch_pos]]
-                noise = sample_gumbel(rng, tc.batch_size, cfg.M * cfg.K).reshape(
-                    tc.batch_size, cfg.M, cfg.K
-                )
+                noise = sample_gumbel(rng, (tc.batch_size, cfg.M, cfg.K))
                 trace = forward(params, xb, noise, cfg)
                 backward(params, xb, trace, grads)
                 adam_step(params, grads, state)

@@ -448,15 +448,13 @@ class TestAnalysisCommands:
      "--seed"),
     (["pq", "--M", "2", "--K", "4", "--codes", "{out}", "--seed", "-1"], "--seed"),
     (["nn-overlap", "--recon", "{emb}", "--seed", "-1"], "--seed"),
-    (["export", "--checkpoint", "{out}", "--codes", "{out}", "--books", "{out}",
-      "--sample-noise-seed", "-1"], "--sample-noise-seed"),
     (["train", "--M", "2", "--K", "4", "--iters", "10", "--out", "{out}", "--batch", "0"],
      "--batch"),
     (["nn-overlap", "--recon", "{emb}", "--k", "0"], "--k"),
     (["size", "--M", "2", "--K", "4", "--vocab", "-1"], "--vocab"),
 ], ids=["train-limit-0", "train-limit-neg", "pq-limit-0", "pq-iters-neg", "pq-threads-0",
         "nn-overlap-sample-0", "nn-overlap-threads-neg", "train-iters-neg",
-        "train-seed-neg", "pq-seed-neg", "nn-overlap-seed-neg", "export-noise-seed-neg",
+        "train-seed-neg", "pq-seed-neg", "nn-overlap-seed-neg",
         "train-batch-0", "nn-overlap-k-0", "size-vocab-neg"])
 def test_bad_count_exits_2_naming_the_flag(emb_file, tmp_path, capsys, argv, flag):
     out = tmp_path / "out.bin"
@@ -468,6 +466,38 @@ def test_bad_count_exits_2_naming_the_flag(emb_file, tmp_path, capsys, argv, fla
     assert flag in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["balance", "--codes", "{missing}"],
+    ["export", "--checkpoint", "{missing}", "--emb", "{emb}", "--codes", "{out}",
+     "--books", "{out}"],
+    ["reconstruct", "--codes", "{missing}", "--books", "{missing}", "--out", "{out}"],
+    ["train", "--emb", "{emb}", "--M", "2", "--K", "4", "--iters", "1",
+     "--out", "{missing}"],
+], ids=["balance", "export", "reconstruct", "train-out"])
+def test_missing_path_exits_2_naming_it(emb_file, tmp_path, capsys, argv):
+    missing = tmp_path / "no-such-dir" / "file.bin"
+    out = tmp_path / "out.bin"
+    argv = [a.format(emb=emb_file, out=out, missing=missing) for a in argv]
+    assert main([*argv, "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert str(missing) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["size", "--M", "2", "--K", "4", "--vocab", "10"],
+    ["shared", "--codes", "{emb}"],
+    ["stats", "--emb", "{emb}", "--recon", "{emb}"],
+], ids=["size", "shared", "stats"])
+def test_csv_format_is_for_balance_only(emb_file, capsys, argv):
+    argv = [a.format(emb=emb_file) for a in argv]
+    assert main([*argv, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 'csv'" in captured.err
+    assert captured.out == ""
 
 
 def test_non_integer_count_exits_2_as_invalid_int(emb_file, capsys):

@@ -38,6 +38,11 @@ class TestCodeMatrix:
         with pytest.raises(ConfigError):
             CodeMatrix(3, 4, np.zeros((5, 2), dtype=np.int64))
 
+    @pytest.mark.parametrize("M, K, field", [(0, 4, "M"), (2, 3, "K")])
+    def test_scheme_rule(self, M, K, field):
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            CodeMatrix(M, K, np.zeros((5, M), dtype=np.int64))
+
     def test_widths(self):
         codes = CodeMatrix(16, 32, np.zeros((3, 16), dtype=np.int64))
         assert codes.bits_per_word == 80
@@ -100,17 +105,6 @@ class TestExport:
         emb.matrix[5, 0] = np.inf
         with pytest.raises(DataError, match=r"'w4' \(row 4\).*export"):
             export_codes(params, emb)
-
-    def test_sampled_export_is_seeded_and_in_range(self):
-        cfg = SchemeConfig(M=2, K=8, H=5)
-        params = model.init_params(cfg, tensor.new_rng(1))
-        emb = make_embeddings(50, 5)
-        a, _ = export_codes(params, emb, noise_rng=tensor.new_rng(4))
-        b, _ = export_codes(params, emb, noise_rng=tensor.new_rng(4))
-        assert np.array_equal(a.codes, b.codes)
-        assert a.codes.min() >= 0 and a.codes.max() < 8
-        c, _ = export_codes(params, emb, noise_rng=tensor.new_rng(5))
-        assert not np.array_equal(a.codes, c.codes)
 
 
 def compose_one(code, books):
@@ -283,18 +277,26 @@ class TestCodebookFile:
         assert (books2.M, books2.K, books2.H) == (3, 4, 7)
         assert np.array_equal(books2.vectors, books.vectors)
 
+    @pytest.mark.parametrize("M, K, H, field", [(0, 4, 2, "M"), (1, 3, 2, "K"),
+                                                 (1, 2, 0, "H")])
+    def test_scheme_rule(self, M, K, H, field):
+        # Each of these would write a file that read_codebook_file rejects.
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            Codebooks(M, K, H, np.zeros((M * K, H), dtype=np.float32))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "books.bin"
         path.write_bytes(b"NOPE" + bytes(20))
         with pytest.raises(DataError, match="magic"):
             read_codebook_file(path)
 
-    @pytest.mark.parametrize("M, K, offset", [(0, 4, 5), (2, 3, 9)])
+    @pytest.mark.parametrize("M, K, offset", [(0, 4, 5), (2, 3, 9), (1, 2, 13)])
     def test_bad_scheme_in_header_names_the_field(self, tmp_path, M, K, offset):
         import struct
+        H = 0 if offset == 13 else 2  # the offset-13 case breaks H instead
         path = tmp_path / "books.bin"
-        path.write_bytes(b"DCB1" + struct.pack("<BIII", 1, M, K, 2)
-                         + bytes(4 * M * K * 2))
+        path.write_bytes(b"DCB1" + struct.pack("<BIII", 1, M, K, H)
+                         + bytes(4 * M * K * H))
         with pytest.raises(DataError, match=f"offset {offset}"):
             read_codebook_file(path)
 

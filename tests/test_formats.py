@@ -29,7 +29,6 @@ GOLDEN = {
     "synthetic_books.bin": "844a8b22a816a57583dff1e6eef86c17599e3e27c114f1929380b59112c1c5cd",
     "export_codes.bin": "80b8bf1d484f97127aada405e84c4989eb521312e2bf3a9e6093af2b0daf038a",
     "export_books.bin": "e551188761188781f678f75a90f7137be16a1f271fe38239dbce71bc438cf1d7",
-    "noisy_codes.bin": "8409df89048af27316aeace0b9e6e4f12e1eb382a3d09f56f7f9a075e42955c8",
 }
 
 
@@ -48,8 +47,6 @@ def write_golden_files(root):
     got, got_books = codec.export_codes(params, emb)
     codec.write_code_file(root / "export_codes.bin", got, emb.vocab)
     codec.write_codebook_file(root / "export_books.bin", got_books)
-    noisy, _ = codec.export_codes(params, emb, noise_rng=tensor.new_rng(5))
-    codec.write_code_file(root / "noisy_codes.bin", noisy, emb.vocab)
 
 
 def test_golden_digests(tmp_path):

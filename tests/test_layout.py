@@ -1,7 +1,8 @@
 """Source layout checks on src/codecomp.
 
-Every name a module imports is used there, and a function that takes
-params reads the scheme from params.scheme rather than taking it again.
+Every name a module imports is used there, a function that takes params
+reads the scheme from params.scheme rather than taking it again, and no
+module-level function is there only for the tests to call.
 """
 
 import ast
@@ -80,3 +81,45 @@ def test_scheme_next_to_params_is_caught(tmp_path):
                     "def c(cfg, rng):\n    pass\n"
                     "def d(params, x):\n    pass\n")
     assert functions_taking_params_and_scheme(path) == ["a", "b"]
+
+
+def orphaned_functions(paths):
+    """(module, name) of module-level functions that no module in paths names.
+
+    A name counts as used where an expression reads it, as a bare name or
+    as an attribute, or where a module imports it; __init__'s imports are
+    the public API, so exporting a function counts.
+    """
+    defined = []
+    used = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [item for item in defined if item[1] not in used]
+
+
+def test_every_function_has_a_caller_in_src():
+    orphans = orphaned_functions(sorted(SRC.glob("*.py")))
+    assert orphans == [], (
+        f"{orphans} are called from no src module and not exported; "
+        "a helper only tests call belongs in the tests"
+    )
+
+
+def test_orphaned_function_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text("def used():\n    return _helper()\n"
+                                   "def _helper():\n    pass\n"
+                                   "def exported():\n    pass\n"
+                                   "def orphan():\n    pass\n")
+    (tmp_path / "b.py").write_text("from . import a\nx = a.used()\n")
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert orphaned_functions(paths) == [("a", "orphan")]

@@ -105,7 +105,7 @@ class TestForward:
         rng = tensor.new_rng(7)
         params = model.init_params(cfg, rng)
         x = rng.standard_normal((2, 4)).astype(np.float32)
-        noise = tensor.sample_gumbel(rng, 2, 8).reshape(2, 2, 4)
+        noise = tensor.sample_gumbel(rng, (2, 2, 4))
         trace = model.forward(params, x, noise, cfg)
         want = scalar_forward_oracle(params, x, noise, cfg)
         assert trace.loss == pytest.approx(want, rel=1e-5)
@@ -128,8 +128,7 @@ class TestForward:
             cfg = SchemeConfig(M=m_books, K=k_words, H=dim)
             params = model.init_params(cfg, rng)
             x = rng.standard_normal((4, dim)).astype(np.float32)
-            noise = tensor.sample_gumbel(rng, 4, m_books * k_words).reshape(
-                4, m_books, k_words)
+            noise = tensor.sample_gumbel(rng, (4, m_books, k_words))
             trace = model.forward(params, x, noise, cfg)
             sums = trace.d.sum(axis=2)
             assert np.all(np.abs(sums - 1.0) < 1e-5)
@@ -170,13 +169,13 @@ class TestForward:
         ("A", "reconstruction"),
     ])
     def test_non_finite_stage_is_named(self, poison, stage, hard):
-        # Hard mode's argmax turns a non-finite alpha or noise into a finite
-        # one-hot, so only the alpha check can see it there.
+        # Hard mode's argmax turns a non-finite alpha into a finite one-hot,
+        # so only the alpha check can see it there; hard mode takes no noise.
         cfg = SchemeConfig(M=2, K=4, H=5)
         rng = tensor.new_rng(0)
         params = model.init_params(cfg, rng)
         x = rng.standard_normal((3, 5)).astype(np.float32)
-        noise = tensor.sample_gumbel(rng, 3, 8).reshape(3, 2, 4)
+        noise = tensor.sample_gumbel(rng, (3, 2, 4))
         if poison == "theta_prime":
             params.theta_prime[0, 0] = np.inf
         elif poison == "noise":
@@ -184,10 +183,11 @@ class TestForward:
         else:
             params.A[3, 1] = np.nan
         if hard and poison == "noise":
-            assert math.isfinite(model.forward(params, x, noise, cfg, hard=True).loss)
+            with pytest.raises(ConfigError, match="hard forward takes no noise"):
+                model.forward(params, x, noise, cfg, hard=True)
             return
         with pytest.raises(NumericError, match=f"'{stage}'"):
-            model.forward(params, x, noise, cfg, hard=hard)
+            model.forward(params, x, None if hard else noise, cfg, hard=hard)
 
     def test_hard_mode_assignments_are_exact_one_hots(self):
         cfg = SchemeConfig(M=3, K=8, H=6)
@@ -261,7 +261,7 @@ class TestBackward:
         rng = tensor.new_rng(4)
         params = model.init_params(cfg, rng)
         x = rng.standard_normal((3, 6)).astype(np.float32)
-        noise = tensor.sample_gumbel(rng, 3, 12).reshape(3, 3, 4)
+        noise = tensor.sample_gumbel(rng, (3, 3, 4))
         trace = model.forward(params, x, noise, cfg)
         grads = model.backward(params, x, trace, model.ModelParams(cfg))
         x2 = np.vstack([x, x])
