@@ -58,6 +58,19 @@ def _read_embeddings(path, limit=None):
     return embeddings.read_text_embeddings(path, limit=limit)
 
 
+def _require_writable(path):
+    """Raise OSError naming path unless it can be opened for writing.
+
+    Opening for append keeps an existing file's bytes; a file the check
+    creates is removed again, so a run that fails later leaves nothing.
+    """
+    existed = os.path.exists(path)
+    with open(path, "ab"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _load_recon(args):
     """Reconstruction source for report commands: --recon or --codes/--books."""
     if args.recon:
@@ -79,6 +92,7 @@ def cmd_train(args):
         iterations=args.iters,
         seed=args.seed,
     )
+    _require_writable(args.out)  # fail before training, not after it
     try:
         params, report = trainer.train(emb, tc)
     except NumericError as exc:

@@ -5,9 +5,12 @@ The network embeds a batch of word vectors x (B x H) as follows:
     h      = tanh(x @ theta + b)                     hidden layer, width M*K/2
     alpha  = softplus(h @ theta_prime + b_prime)     per-component codeword scores
     d_i    = softmax(log alpha_i + G_i)              soft one-hot per component i
+           = alpha_i * e^G_i / sum_k alpha_ik * e^G_ik
     recon  = sum_i d_i @ A_i                         additive reconstruction
 
 where G is Gumbel(0, 1) noise and A stacks M codebooks of K codewords each.
+The Gumbel-softmax runs at temperature 1, where the two forms of d_i are
+the same; forward computes the second, which needs no log and no max shift.
 Noise is a training device: only the soft forward pass takes it. A word's
 code is the argmax of its scores (assign); hard forward passes and code
 export both take it there.
@@ -17,11 +20,13 @@ Gumbel noise enters through the reparameterized soft assignment, so the
 gradient flows through the softmax rather than a straight-through estimator.
 
 All functions are dtype-generic: float32 parameters give the production
-path (float32 GEMMs; Adam updates in place in 32 bits), while float64
-parameters give a high-precision shadow, float64 end to end, used by the
-finite-difference gradient tests.
+path (float32 GEMMs; sums over K and over the batch as products with a
+ones vector; Adam updates in place in 32 bits; only the loss accumulates
+in float64), while float64 parameters give a high-precision shadow,
+float64 end to end, used by the finite-difference gradient tests.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +35,9 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .tensor import matmul, softplus
 
-# Floor applied to alpha before the log so 32-bit softplus underflow cannot
-# produce -inf logits. Gradient is defined as zero where the floor is active.
+# Floor applied to alpha so 32-bit softplus underflow cannot zero a score:
+# each normaliser stays positive and backward's division by alpha finite.
+# Gradient is defined as zero where the floor is active.
 ALPHA_FLOOR = 1e-10
 
 PARAM_NAMES = ("theta", "b", "theta_prime", "b_prime", "A")
@@ -152,7 +158,10 @@ class ForwardTrace:
 
 @dataclass
 class AdamState:
-    """Adam moments and scratch, flat like ModelParams.flat. Single-writer."""
+    """Adam moments and scratch, flat like ModelParams.flat. Single-writer.
+
+    m and v are unscaled: Kingma & Ba's moments over (1 - beta1), (1 - beta2).
+    """
 
     m: np.ndarray
     v: np.ndarray
@@ -190,16 +199,29 @@ def init_params(cfg, rng, dtype=np.float32):
     return params
 
 
+@functools.lru_cache(maxsize=64)
+def _ones(shape, dtype):
+    """Read-only ones, built once per shape and dtype. A sum taken as a
+    product with them is one BLAS call; numpy reduces short axes slowly."""
+    ones = np.ones(shape, dtype=dtype)
+    ones.flags.writeable = False
+    return ones
+
+
+def _sum_last(x):
+    """Sums over the last axis of x, kept as a length-1 axis."""
+    k = x.shape[-1]
+    sums = matmul(x.reshape(-1, k), _ones((k, 1), x.dtype))
+    return sums.reshape(x.shape[:-1] + (1,))
+
+
 def softmax(x):
     """Max-subtracted softmax along the last axis.
 
-    The max runs over a transposed contiguous copy: numpy reduces a short
-    contiguous last axis slowly, and a max is exact in any order. The sum
-    keeps numpy's order along the axis, which fixes the rounding.
+    The reference form of forward's assignment, which at temperature 1
+    equals softmax(log alpha + G).
     """
-    k = x.shape[-1]
-    peak = np.ascontiguousarray(x.reshape(-1, k).T).max(axis=0)
-    z = x - peak.reshape(x.shape[:-1] + (1,))
+    z = x - x.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
@@ -219,7 +241,8 @@ def encode(params, x, check=True):
     both score words here, so export's codes come from what training optimised.
     With check, a non-finite alpha raises NumericError naming 'hidden' or
     'alpha'; an argmax over alpha would hide it. The soft forward pass
-    checks its loss instead, which any non-finite stage reaches.
+    checks its row sums over K and its loss instead, which any non-finite
+    stage reaches.
     """
     h = matmul(x, params.theta)
     h += params.b
@@ -276,15 +299,21 @@ def forward(params, batch, noise, cfg, hard=False):
         d = np.zeros_like(alpha)
         np.put_along_axis(d, assign(alpha)[:, :, None], 1.0, axis=2)
     else:
-        logits = np.log(alpha)
-        if noise is not None:
-            logits += noise
-        d = softmax(logits)
+        if noise is None:
+            d = alpha.copy()
+        else:
+            d = np.exp(noise, dtype=alpha.dtype)
+            d *= alpha
+        sums = _sum_last(d)
+        # NaN fails here, and so does an overflowed sum, which would zero its row.
+        if not sums.max() < np.inf:
+            _raise_first_bad((("hidden", h), ("alpha", alpha)))
+            raise NumericError("non-finite values in forward stage 'assignment'")
+        d /= sums
 
     recon = matmul(d.reshape(bsz, cfg.M * cfg.K), params.A)
-    sq = (recon - batch).astype(np.float64)
-    np.square(sq, out=sq)
-    loss = float(np.sum(sq) / bsz)
+    res = (recon - batch).astype(np.float64).reshape(1, -1)
+    loss = float(matmul(res, res.T)[0, 0]) / bsz
     if not math.isfinite(loss):
         _raise_first_bad((("hidden", h), ("alpha", alpha), ("assignment", d),
                           ("reconstruction", recon)))
@@ -316,8 +345,7 @@ def backward(params, batch, trace, grads):
     # d_raw = softmax backward, then through log(softplus), in place.
     d_raw = matmul(d_recon, params.A.T)
     d_d = d_raw.reshape(bsz, cfg.M, cfg.K)
-    inner = (d_d * trace.d).sum(axis=2, keepdims=True)
-    d_d -= inner
+    d_d -= _sum_last(d_d * trace.d)
     d_d *= trace.d
     factor = np.negative(alpha_flat)
     np.exp(factor, out=factor)
@@ -327,20 +355,21 @@ def backward(params, batch, trace, grads):
     d_raw /= alpha_flat
 
     matmul(trace.h.T, d_raw, out=grads.theta_prime)
-    grads.b_prime[...] = d_raw.sum(axis=0, dtype=np.float64)
+    ones = _ones((1, bsz), d_raw.dtype)
+    matmul(ones, d_raw, out=grads.b_prime.reshape(1, -1))
 
     d_pre = matmul(d_raw, params.theta_prime.T)
     dtanh = np.square(trace.h)
     np.subtract(1.0, dtanh, out=dtanh)
     d_pre *= dtanh
     matmul(batch.T, d_pre, out=grads.theta)
-    grads.b[...] = d_pre.sum(axis=0, dtype=np.float64)
+    matmul(ones, d_pre, out=grads.b.reshape(1, -1))
     return grads
 
 
 # Adam walks the flat buffers in blocks of this many elements: the five
 # buffers' slices of one block (1.25 MB in float32) stay in a 2 MB L2 cache
-# across its 13 passes, where one pass over paper-shape buffers spills it.
+# across its 10 passes, where one pass over paper-shape buffers spills it.
 ADAM_BLOCK = 65_536
 
 
@@ -349,31 +378,30 @@ def adam_step(params, grads, state):
 
     Moments, scratch and parameters are updated in place in the parameter
     dtype, block by block over the flat buffers; the arrays bound to params
-    stay the same objects. The bias corrections fold into two Python floats
-    per step, so they do not widen the float32 loops. eps sits outside the
-    square root:
+    stay the same objects. The moments' scales and the bias corrections
+    fold into a step size and an eps, two Python floats per step, so each
+    block takes 10 passes in the parameter dtype. With
+    c = sqrt((1 - beta2) / (1 - beta2^t)) and eps outside the square root:
 
-        p -= lr / (1 - beta1^t) * m / (sqrt(v) / sqrt(1 - beta2^t) + eps)
+        p -= lr (1 - beta1) / ((1 - beta1^t) c) * m / (sqrt(v) + eps / c)
     """
     state.t += 1
     t = state.t
-    step = state.lr / (1.0 - ADAM_BETA1 ** t)
-    v_scale = 1.0 / math.sqrt(1.0 - ADAM_BETA2 ** t)
+    c = math.sqrt((1.0 - ADAM_BETA2) / (1.0 - ADAM_BETA2 ** t))
+    step = state.lr * (1.0 - ADAM_BETA1) / ((1.0 - ADAM_BETA1 ** t) * c)
+    eps = ADAM_EPS / c
     flat = params.flat
     for start in range(0, flat.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
         p, g = flat[block], grads.flat[block]
         m, v, work = state.m[block], state.v[block], state.work[block]
         m *= ADAM_BETA1
-        np.multiply(g, 1.0 - ADAM_BETA1, out=work)
-        m += work
+        m += g
         v *= ADAM_BETA2
         np.multiply(g, g, out=work)
-        work *= 1.0 - ADAM_BETA2
         v += work
         np.sqrt(v, out=work)
-        work *= v_scale
-        work += ADAM_EPS
+        work += eps
         np.divide(m, work, out=work)
         work *= step
         p -= work

@@ -10,7 +10,7 @@ here pin down the numeric conventions the rest of the package relies on:
 * random numbers come from numpy's PCG64 generator, so a seed fixes the
   entire sample stream bit-exactly on a given build,
 * Gumbel noise, which only training's soft forward pass takes, is drawn
-  here and nowhere else.
+  here and nowhere else, as float32 uniforms transformed in float32.
 
 Functions are dtype-generic: feeding float64 arrays through keeps the whole
 computation in float64, which the gradient tests use as a high-precision
@@ -69,14 +69,16 @@ def softplus(x):
 def sample_gumbel(rng, shape):
     """Gumbel(0, 1) noise of the given shape as float32: g = -log(-log(u)).
 
-    u is a float64 uniform draw on [0, 1), floored at GUMBEL_EPS so that
-    u = 0 maps to a finite sample. That floor is the one clamp generator
-    output can reach: its largest draw, 1 - 2^-53, already gives a finite g.
+    u is a float32 uniform draw on [0, 1), floored at GUMBEL_EPS so that
+    u = 0 maps to a finite sample; both logs run in float32. That floor is
+    the one clamp generator output can reach: its largest draw, 1 - 2^-24,
+    already gives a finite g (about 16.6). The floor gives the smallest,
+    about -3.83, so e^g lies in [0.0217, 1.7e7].
     """
-    g = rng.random(shape)
+    g = rng.random(shape, dtype=np.float32)
     np.maximum(g, GUMBEL_EPS, out=g)
     np.log(g, out=g)
     np.negative(g, out=g)
     np.log(g, out=g)
     np.negative(g, out=g)
-    return g.astype(np.float32)
+    return g

@@ -179,6 +179,29 @@ class TestTrain:
         _, _, iteration = trainer.load_checkpoint(out)
         assert iteration == 1000
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_exits_2_before_training(self, emb_file, tmp_path, capsys,
+                                                    monkeypatch, where):
+        def no_training(emb, tc):
+            raise AssertionError("trainer.train ran before --out was checked")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        out = tmp_path / "no-such-dir" / "m.ckpt" if where == "missing-dir" else tmp_path
+        code = main(["train", "--emb", str(emb_file), "--M", "2", "--K", "4",
+                     "--out", str(out), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(out) in err
+
+    def test_failed_run_keeps_existing_out_bytes(self, tmp_path):
+        path, out = tmp_path / "emb.txt", tmp_path / "model.ckpt"
+        path.write_text("a 1.0 2.0\nb 0.5 nan\nc 3.0 1.0\nd 0.5 0.5\n")
+        out.write_bytes(b"an earlier checkpoint")
+        assert main(["train", "--emb", str(path), "--M", "1", "--K", "2",
+                     "--iters", "10", "--out", str(out), "--quiet"]) == 3
+        assert out.read_bytes() == b"an earlier checkpoint"
+
     def test_bad_scheme_exits_2(self, emb_file, tmp_path):
         code = main([
             "train", "--emb", str(emb_file), "--M", "2", "--K", "3",

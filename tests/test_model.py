@@ -135,6 +135,37 @@ class TestForward:
             assert np.all(trace.d > 0)
             assert np.all(trace.d < 1)
 
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "no-noise"])
+    def test_assignment_is_softmax_of_log_alpha_plus_noise(self, noisy):
+        # At temperature 1, softmax(log alpha + G) = alpha e^G / sum_k alpha e^G.
+        cfg = SchemeConfig(M=3, K=8, H=5)
+        rng = tensor.new_rng(11)
+        init = model.init_params(cfg, rng)
+        params = model.ModelParams(cfg, init.flat.astype(np.float64))
+        params.b_prime[...] = 3 * rng.standard_normal(cfg.M * cfg.K)
+        x = rng.standard_normal((6, cfg.H))
+        noise = tensor.sample_gumbel(rng, (6, cfg.M, cfg.K)).astype(np.float64)
+        trace = model.forward(params, x, noise if noisy else None, cfg)
+        want = model.softmax(np.log(trace.alpha) + (noise if noisy else 0.0))
+        np.testing.assert_allclose(trace.d, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("noise_value", [2.0, 0.0, None],
+                             ids=["product", "row-sum", "no-noise"])
+    def test_overflowing_assignment_is_named(self, noise_value):
+        # alpha = 1e38 is finite in float32; alpha * e^2 overflows, and with
+        # e^0 = 1 or no noise only the sum over K = 4 codewords does.
+        cfg = SchemeConfig(M=2, K=4, H=5)
+        rng = tensor.new_rng(0)
+        params = model.init_params(cfg, rng)
+        params.b_prime[...] = 1e38
+        x = rng.standard_normal((3, cfg.H)).astype(np.float32)
+        noise = None
+        if noise_value is not None:
+            noise = np.full((3, cfg.M, cfg.K), noise_value, dtype=np.float32)
+        with pytest.raises(NumericError, match="'assignment'"):
+            model.forward(params, x, noise, cfg)
+
     def test_batch_shape_mismatch(self):
         cfg = SchemeConfig(M=2, K=4, H=5)
         params = model.init_params(cfg, tensor.new_rng(0))

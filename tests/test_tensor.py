@@ -86,13 +86,13 @@ class TestElementwise:
 
 
 class FixedDraws:
-    """Stand-in generator whose random(shape) returns the given uniform draws."""
+    """Stand-in generator whose random(shape, dtype) returns the given uniform draws."""
 
     def __init__(self, *u):
         self.u = u
 
-    def random(self, shape):
-        return np.array(self.u, dtype=np.float64).reshape(shape)
+    def random(self, shape, dtype=np.float64):
+        return np.array(self.u, dtype=dtype).reshape(shape)
 
 
 class TestGumbel:
@@ -106,8 +106,8 @@ class TestGumbel:
         assert g[0] == pytest.approx(0.3665129205816643, rel=1e-7)
 
     def test_finite_on_entire_unit_interval(self):
-        # The generator draws from [0, 1 - 2^-53].
-        g = tensor.sample_gumbel(FixedDraws(0.0, 1.0 - 2.0 ** -53), (2,))
+        # The float32 generator draws from [0, 1 - 2^-24].
+        g = tensor.sample_gumbel(FixedDraws(0.0, 1.0 - 2.0 ** -24), (2,))
         assert np.all(np.isfinite(g))
 
     def test_sample_mean_near_euler_mascheroni(self):
