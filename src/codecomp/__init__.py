@@ -45,7 +45,6 @@ from .model import (
     forward,
     init_params,
     new_adam_state,
-    softmax,
 )
 from .synthetic import synthetic_embeddings
 from .trainer import (

@@ -6,7 +6,6 @@ same N = M*K basis vectors. Sizes reported are raw uncompressed bytes; MB
 means 10^6 bytes.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,14 +114,6 @@ def shared_code_groups(codes, vocab):
     return [(code, [vocab[i] for i in idxs]) for code, idxs in shared]
 
 
-def _map(fn, items, threads):
-    """[fn(item) for item in items], on a pool of `threads` threads when > 1."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _nearest(block, xx, xn, centroids):
     """Index of each row's nearest centroid, exactly as the broadcast argmin.
 
@@ -212,7 +203,7 @@ def _kmeans_block(block, K, iterations, rng):
     return assign, centroids, sse
 
 
-def pq_baseline(emb, M, K, iterations=25, seed=0, threads=1):
+def pq_baseline(emb, M, K, iterations=25, seed=0):
     """Product quantization baseline: independent k-means per dimension block.
 
     Dimensions split into M contiguous blocks as np.array_split does: H/M
@@ -222,9 +213,10 @@ def pq_baseline(emb, M, K, iterations=25, seed=0, threads=1):
     full-width vectors zero-padded outside their block, so reconstruct_all
     reproduces the PQ reconstruction exactly. Loss uses the training
     convention: squared L2 summed over dimensions, averaged over words.
-    Blocks get independently spawned generators, so results do not depend
-    on the thread count. A word with a NaN or infinite value raises
-    DataError naming it before any clustering.
+    Block i draws from the i-th generator spawned from the seed, so each
+    block's clustering depends only on the seed and its own columns; this
+    is the seeding contract the pinned PQ digests hold. A word with a NaN
+    or infinite value raises DataError naming it before any clustering.
     """
     matrix = emb.matrix
     vocab_size, dim = matrix.shape
@@ -237,12 +229,10 @@ def pq_baseline(emb, M, K, iterations=25, seed=0, threads=1):
     blocks = [(cols[0], cols[-1] + 1) for cols in np.array_split(np.arange(dim), M)]
     block_rngs = new_rng(seed).spawn(M)
 
-    def run(i):
-        lo, hi = blocks[i]
-        block = matrix[:, lo:hi].astype(np.float64)
-        return _kmeans_block(block, K, iterations, block_rngs[i])
-
-    results = _map(run, range(M), threads)
+    results = [
+        _kmeans_block(matrix[:, lo:hi].astype(np.float64), K, iterations, rng)
+        for (lo, hi), rng in zip(blocks, block_rngs)
+    ]
 
     codes = np.zeros((vocab_size, M), dtype=np.int32)
     books = np.zeros((M * K, dim), dtype=np.float32)
@@ -269,12 +259,12 @@ def _check_pair(original, recon, consumer):
     recon.require_finite(consumer)
 
 
-def neighbor_overlap(original, recon, k, sample, seed=0, threads=1):
+def neighbor_overlap(original, recon, k, sample, seed=0):
     """Mean fraction of shared top-k cosine neighbors over sampled queries.
 
     Exact brute-force neighbors, excluding the query itself. Queries are
-    drawn without replacement from a seeded generator. Chunked evaluation
-    has fixed boundaries, so any thread count gives identical results.
+    drawn without replacement from a seeded generator. Queries are scored
+    in chunks of 256, so each similarity block is at most 256 x V.
     """
     _check_pair(original, recon, "neighbor overlap")
     vocab_size = original.vocab_size
@@ -288,27 +278,18 @@ def neighbor_overlap(original, recon, k, sample, seed=0, threads=1):
     x_recon = _normalize_rows(recon.matrix)
 
     def topk(sims, rows):
-        # Exclude self before ranking.
-        sims[np.arange(len(rows)), rows] = -np.inf
-        part = np.argpartition(sims, -k, axis=1)[:, -k:]
-        return part
+        sims[np.arange(len(rows)), rows] = -np.inf  # exclude self before ranking
+        # A copy, so the chunk-wide argpartition is freed before the next one.
+        return np.argpartition(sims, -k, axis=1)[:, -k:].copy()
 
-    def run(chunk):
-        rows = queries[chunk]
+    shared = []
+    for start in range(0, len(queries), _OVERLAP_CHUNK):
+        rows = queries[start:start + _OVERLAP_CHUNK]
         top_o = topk(x_orig[rows] @ x_orig.T, rows)
         top_r = topk(x_recon[rows] @ x_recon.T, rows)
-        shared = [
-            len(set(a.tolist()) & set(b.tolist())) for a, b in zip(top_o, top_r)
-        ]
-        return np.asarray(shared, dtype=np.float64)
-
-    chunks = [
-        slice(i, min(i + _OVERLAP_CHUNK, len(queries)))
-        for i in range(0, len(queries), _OVERLAP_CHUNK)
-    ]
-    parts = _map(run, chunks, threads)
-    shared = np.concatenate(parts) if parts else np.zeros(0)
-    return float(shared.mean() / k) if len(shared) else 0.0
+        shared += [len(set(a.tolist()) & set(b.tolist())) for a, b in zip(top_o, top_r)]
+    # Counts are small integers, so their float64 sum is exact.
+    return float(np.mean(shared) / k) if shared else 0.0
 
 
 def reconstruction_report(original, recon):

@@ -2,10 +2,9 @@
 
 One subcommand per invocation. Reports go to stdout (human text by default,
 key<TAB>value lines with --format kv); progress logs go to stderr and are
-suppressed by --quiet. Configuration precedence is flags, then CODECOMP_*
-environment variables, then defaults. Exit codes: 2 for configuration
-errors and for paths that cannot be read or written, 3 for data errors,
-4 for numeric failures.
+suppressed by --quiet. Exit codes: 2 for configuration errors and for
+paths that cannot be read or written, 3 for data errors, 4 for numeric
+failures.
 """
 
 import argparse
@@ -32,18 +31,6 @@ def _count(minimum):
     return int_at_least
 
 
-def _env_int(name, default, minimum):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return _count(minimum)(raw)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ConfigError(
-            f"environment variable {name}={raw!r} must be an integer >= {minimum}"
-        ) from exc
-
-
 def _read_embeddings(path, limit=None):
     """Load a text or binary embedding file, sniffing the binary magic."""
     with open(path, "rb") as fh:
@@ -58,17 +45,21 @@ def _read_embeddings(path, limit=None):
     return embeddings.read_text_embeddings(path, limit=limit)
 
 
-def _require_writable(path):
-    """Raise OSError naming path unless it can be opened for writing.
+def _require_writable(*paths):
+    """Raise OSError naming the first path that cannot be opened for writing.
 
-    Opening for append keeps an existing file's bytes; a file the check
-    creates is removed again, so a run that fails later leaves nothing.
+    None stands for an output not asked for and is skipped. Opening for
+    append keeps an existing file's bytes; a file the check creates is
+    removed again, so a run that fails later leaves nothing.
     """
-    existed = os.path.exists(path)
-    with open(path, "ab"):
-        pass
-    if not existed:
-        os.remove(path)
+    for path in paths:
+        if path is None:
+            continue
+        existed = os.path.exists(path)
+        with open(path, "ab"):
+            pass
+        if not existed:
+            os.remove(path)
 
 
 def _load_recon(args):
@@ -83,6 +74,7 @@ def _load_recon(args):
 
 
 def cmd_train(args):
+    _require_writable(args.out)  # fail before reading and training, not after
     emb = _read_embeddings(args.emb, limit=args.limit)
     cfg = SchemeConfig(M=args.M, K=args.K, H=emb.dim)
     tc = trainer.TrainConfig(
@@ -92,7 +84,6 @@ def cmd_train(args):
         iterations=args.iters,
         seed=args.seed,
     )
-    _require_writable(args.out)  # fail before training, not after it
     try:
         params, report = trainer.train(emb, tc)
     except NumericError as exc:
@@ -112,6 +103,7 @@ def cmd_train(args):
 
 
 def cmd_export(args):
+    _require_writable(args.codes, args.books)
     params, cfg, _ = trainer.load_checkpoint(args.checkpoint)
     emb = _read_embeddings(args.emb)
     codes, books = codec.export_codes(params, emb)
@@ -127,6 +119,7 @@ def cmd_export(args):
 
 
 def cmd_reconstruct(args):
+    _require_writable(args.out)
     emb = _load_recon(args)
     if args.out_format == "binary":
         embeddings.write_binary_matrix(emb, args.out)
@@ -191,10 +184,10 @@ def cmd_size(args):
 
 
 def cmd_pq(args):
+    _require_writable(args.codes, args.books)
     emb = _read_embeddings(args.emb, limit=args.limit)
     codes, books, loss = analysis.pq_baseline(
         emb, args.M, args.K, iterations=args.iters, seed=args.seed,
-        threads=args.threads,
     )
     if args.codes:
         codec.write_code_file(args.codes, codes, emb.vocab)
@@ -213,7 +206,6 @@ def cmd_nn_overlap(args):
     recon = _load_recon(args)
     overlap = analysis.neighbor_overlap(
         original, recon, k=args.k, sample=args.sample, seed=args.seed,
-        threads=args.threads,
     )
     sys.stdout.write(analysis.format_pairs(
         [("k", args.k), ("sample", min(args.sample, original.vocab_size)),
@@ -247,9 +239,6 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    seed_default = _env_int("CODECOMP_SEED", 0, minimum=0)
-    threads_default = _env_int("CODECOMP_THREADS", 1, minimum=1)
-
     p = sub.add_parser("train", parents=[common],
                        help="learn codes for an embedding file")
     p.add_argument("--emb", required=True)
@@ -258,7 +247,7 @@ def build_parser():
     p.add_argument("--iters", type=_count(0), default=200_000)
     p.add_argument("--batch", type=_count(1), default=128)
     p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--seed", type=_count(0), default=seed_default)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--limit", type=_count(1), default=None,
                    help="use only the first N words")
     p.add_argument("--out", required=True, help="checkpoint output path")
@@ -311,8 +300,7 @@ def build_parser():
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--iters", type=_count(0), default=25)
-    p.add_argument("--seed", type=_count(0), default=seed_default)
-    p.add_argument("--threads", type=_count(1), default=threads_default)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--limit", type=_count(1), default=None)
     p.add_argument("--codes", default=None, help="optional code file output")
     p.add_argument("--books", default=None, help="optional codebook output")
@@ -322,8 +310,7 @@ def build_parser():
                        help="shared nearest-neighbor fraction")
     p.add_argument("--k", type=_count(1), default=10)
     p.add_argument("--sample", type=_count(1), default=100)
-    p.add_argument("--seed", type=_count(0), default=seed_default)
-    p.add_argument("--threads", type=_count(1), default=threads_default)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(fn=cmd_nn_overlap)
 
     return parser
@@ -331,7 +318,6 @@ def build_parser():
 
 def main(argv=None):
     try:
-        # Building the parser reads CODECOMP_* defaults, which can be bad.
         args = build_parser().parse_args(argv)
         logging.basicConfig(
             stream=sys.stderr,

@@ -40,8 +40,6 @@ from .tensor import matmul, softplus
 # Gradient is defined as zero where the floor is active.
 ALPHA_FLOOR = 1e-10
 
-PARAM_NAMES = ("theta", "b", "theta_prime", "b_prime", "A")
-
 # Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -89,17 +87,16 @@ class SchemeConfig:
 class ModelParams:
     """Encoder weights and the stacked codebook matrix in one flat buffer.
 
-    flat holds theta, b, theta_prime, b_prime and A back to back, row-major,
-    in PARAM_NAMES order; each group is a view of its slice, so writing into
-    a group writes into flat; scheme is the SchemeConfig the layout follows,
-    and functions that take params read the scheme there. No attribute can
-    be rebound, so the views stay on the buffer. Gradients and Adam's
-    moments share this layout, so Adam runs over flat arrays.
+    flat holds the groups back to back, row-major, in the order and shapes
+    that shapes() gives (theta, b, theta_prime, b_prime, A); each group is
+    a view of its slice, so writing into a group writes into flat; scheme
+    is the SchemeConfig the layout follows, and functions that take params
+    read the scheme there. No attribute can be rebound, so the views stay
+    on the buffer. Gradients and Adam's moments share this layout, so Adam
+    runs over flat arrays.
 
     A is (M*K) x H with rows [i*K, (i+1)*K) forming codebook i, so a soft
     assignment flattened to (B, M*K) reconstructs as a single matrix product.
-    Group shapes: theta H x hidden, b hidden, theta_prime hidden x (M*K),
-    b_prime M*K, A (M*K) x H.
     """
 
     def __init__(self, scheme, flat=None, dtype=np.float32):
@@ -128,7 +125,7 @@ class ModelParams:
 
     @staticmethod
     def shapes(cfg):
-        """Shape of each parameter group under a scheme, in PARAM_NAMES order."""
+        """Shape of each parameter group under a scheme, in buffer order."""
         hid = cfg.hidden
         mk = cfg.M * cfg.K
         return {
@@ -213,18 +210,6 @@ def _sum_last(x):
     k = x.shape[-1]
     sums = matmul(x.reshape(-1, k), _ones((k, 1), x.dtype))
     return sums.reshape(x.shape[:-1] + (1,))
-
-
-def softmax(x):
-    """Max-subtracted softmax along the last axis.
-
-    The reference form of forward's assignment, which at temperature 1
-    equals softmax(log alpha + G).
-    """
-    z = x - x.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
 
 
 def _raise_first_bad(stages):

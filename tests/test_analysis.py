@@ -209,13 +209,6 @@ class TestPqBaseline:
         ]
         assert losses[0] >= losses[1] >= losses[2]
 
-    def test_thread_count_does_not_change_result(self):
-        emb = random_embeddings(100, 8, seed=5)
-        codes1, _, loss1 = pq_baseline(emb, M=4, K=4, seed=2, threads=1)
-        codes2, _, loss2 = pq_baseline(emb, M=4, K=4, seed=2, threads=3)
-        assert np.array_equal(codes1.codes, codes2.codes)
-        assert loss1 == loss2
-
     def test_deterministic_for_seed(self):
         emb = random_embeddings(100, 8, seed=5)
         a = pq_baseline(emb, M=2, K=4, seed=9)
@@ -439,13 +432,6 @@ class TestNeighborOverlap:
         overlap = neighbor_overlap(a, b, k=10, sample=200, seed=0)
         # Chance level is k/(V-1) ~ 0.02; observed 0.019 for these seeds.
         assert 0.005 < overlap < 0.035
-
-    def test_threads_do_not_change_result(self):
-        a = random_embeddings(400, 12, seed=3)
-        b = random_embeddings(400, 12, seed=4)
-        o1 = neighbor_overlap(a, b, k=7, sample=300, seed=5, threads=1)
-        o2 = neighbor_overlap(a, b, k=7, sample=300, seed=5, threads=4)
-        assert o1 == o2
 
     def test_k_too_large(self):
         emb = random_embeddings(10, 4, seed=0)

@@ -463,9 +463,7 @@ class TestAnalysisCommands:
      "--limit"),
     (["pq", "--M", "2", "--K", "4", "--codes", "{out}", "--limit", "0"], "--limit"),
     (["pq", "--M", "2", "--K", "4", "--codes", "{out}", "--iters", "-1"], "--iters"),
-    (["pq", "--M", "2", "--K", "4", "--codes", "{out}", "--threads", "0"], "--threads"),
     (["nn-overlap", "--recon", "{emb}", "--sample", "0"], "--sample"),
-    (["nn-overlap", "--recon", "{emb}", "--threads", "-2"], "--threads"),
     (["train", "--M", "2", "--K", "4", "--iters", "-3", "--out", "{out}"], "--iters"),
     (["train", "--M", "2", "--K", "4", "--iters", "10", "--out", "{out}", "--seed", "-1"],
      "--seed"),
@@ -475,8 +473,8 @@ class TestAnalysisCommands:
      "--batch"),
     (["nn-overlap", "--recon", "{emb}", "--k", "0"], "--k"),
     (["size", "--M", "2", "--K", "4", "--vocab", "-1"], "--vocab"),
-], ids=["train-limit-0", "train-limit-neg", "pq-limit-0", "pq-iters-neg", "pq-threads-0",
-        "nn-overlap-sample-0", "nn-overlap-threads-neg", "train-iters-neg",
+], ids=["train-limit-0", "train-limit-neg", "pq-limit-0", "pq-iters-neg",
+        "nn-overlap-sample-0", "train-iters-neg",
         "train-seed-neg", "pq-seed-neg", "nn-overlap-seed-neg",
         "train-batch-0", "nn-overlap-k-0", "size-vocab-neg"])
 def test_bad_count_exits_2_naming_the_flag(emb_file, tmp_path, capsys, argv, flag):
@@ -498,16 +496,31 @@ def test_bad_count_exits_2_naming_the_flag(emb_file, tmp_path, capsys, argv, fla
     ["reconstruct", "--codes", "{missing}", "--books", "{missing}", "--out", "{out}"],
     ["train", "--emb", "{emb}", "--M", "2", "--K", "4", "--iters", "1",
      "--out", "{missing}"],
-], ids=["balance", "export", "reconstruct", "train-out"])
+    # Outputs are checked before any input is read, so none is left half
+    # written; reconstruct and train name theirs before their bad inputs.
+    ["export", "--checkpoint", "{ckpt}", "--emb", "{emb}", "--codes", "{out}",
+     "--books", "{missing}"],
+    ["pq", "--emb", "{emb}", "--M", "2", "--K", "4", "--codes", "{out}",
+     "--books", "{missing}"],
+    ["pq", "--emb", "{emb}", "--M", "2", "--K", "4", "--codes", "{missing}",
+     "--books", "{out}"],
+    ["reconstruct", "--codes", "{ckpt}", "--books", "{ckpt}", "--out", "{missing}"],
+    ["train", "--emb", "{out}", "--M", "2", "--K", "4", "--out", "{missing}"],
+], ids=["balance", "export", "reconstruct", "train-out", "export-books", "pq-books",
+        "pq-codes", "reconstruct-out", "train-out-first"])
 def test_missing_path_exits_2_naming_it(emb_file, tmp_path, capsys, argv):
     missing = tmp_path / "no-such-dir" / "file.bin"
     out = tmp_path / "out.bin"
-    argv = [a.format(emb=emb_file, out=out, missing=missing) for a in argv]
+    ckpt = tmp_path / "model.ckpt"
+    cfg = SchemeConfig(M=2, K=4, H=8)
+    trainer.save_checkpoint(ckpt, model.init_params(cfg, tensor.new_rng(0)), 0)
+    argv = [a.format(emb=emb_file, out=out, missing=missing, ckpt=ckpt) for a in argv]
     assert main([*argv, "--quiet"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert str(missing) in captured.err
     assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -531,36 +544,24 @@ def test_non_integer_count_exits_2_as_invalid_int(emb_file, capsys):
     assert "invalid int value: 'abc'" in err
 
 
-class TestEnvironment:
-    def test_env_seed_applies_when_flag_absent(self, emb_file, capsys, monkeypatch):
-        monkeypatch.setenv("CODECOMP_SEED", "7")
-        assert main(["pq", "--emb", str(emb_file), "--M", "2", "--K", "4",
-                     "--format", "kv", "--quiet"]) == 0
-        assert kv(capsys.readouterr().out)["seed"] == "7"
+@pytest.mark.parametrize("argv", [
+    ["pq", "--M", "2", "--K", "4", "--threads", "2"],
+    ["nn-overlap", "--recon", "{emb}", "--threads", "2"],
+], ids=["pq", "nn-overlap"])
+def test_threads_flag_is_gone(emb_file, capsys, argv):
+    argv = [a.format(emb=emb_file) for a in argv]
+    assert main([argv[0], "--emb", str(emb_file), "--quiet", *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --threads 2" in captured.err
+    assert captured.out == ""
 
-    def test_flag_beats_env(self, emb_file, capsys, monkeypatch):
-        monkeypatch.setenv("CODECOMP_SEED", "7")
-        assert main(["pq", "--emb", str(emb_file), "--M", "2", "--K", "4",
-                     "--seed", "3", "--format", "kv", "--quiet"]) == 0
-        assert kv(capsys.readouterr().out)["seed"] == "3"
 
-    def test_bad_env_value_exits_2(self, emb_file, monkeypatch, capsys):
-        monkeypatch.setenv("CODECOMP_THREADS", "many")
-        assert main(["pq", "--emb", str(emb_file), "--M", "2", "--K", "4",
-                     "--quiet"]) == 2
-        assert "CODECOMP_THREADS" in capsys.readouterr().err
-
-    def test_env_seed_below_zero_exits_2(self, emb_file, monkeypatch, capsys):
-        monkeypatch.setenv("CODECOMP_SEED", "-1")
-        assert main(["pq", "--emb", str(emb_file), "--M", "2", "--K", "4",
-                     "--quiet"]) == 2
-        assert "CODECOMP_SEED" in capsys.readouterr().err
-
-    def test_env_threads_below_one_exits_2(self, emb_file, monkeypatch, capsys):
-        monkeypatch.setenv("CODECOMP_THREADS", "0")
-        assert main(["nn-overlap", "--emb", str(emb_file), "--recon", str(emb_file),
-                     "--quiet"]) == 2
-        assert "CODECOMP_THREADS" in capsys.readouterr().err
+def test_codecomp_environment_is_ignored(emb_file, capsys, monkeypatch):
+    monkeypatch.setenv("CODECOMP_SEED", "7")
+    monkeypatch.setenv("CODECOMP_THREADS", "many")
+    assert main(["pq", "--emb", str(emb_file), "--M", "2", "--K", "4",
+                 "--format", "kv", "--quiet"]) == 0
+    assert kv(capsys.readouterr().out)["seed"] == "0"
 
 
 class TestLogging:

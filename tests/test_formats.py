@@ -9,6 +9,7 @@ PCG64 stream and the file layouts.
 """
 
 import hashlib
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from codecomp import codec, model, tensor
+from codecomp import codec, container, model, tensor
 from codecomp.embeddings import EmbeddingMatrix, read_binary_matrix, write_binary_matrix
 from codecomp.errors import DataError
 from codecomp.synthetic import synthetic_embeddings
@@ -171,3 +172,28 @@ def test_every_proper_prefix_raises(tmp_path, name, reader):
         cut.write_bytes(data[:end])
         with pytest.raises(DataError):
             reader(cut)
+
+
+# A header whose payload is far larger than the file: each reader must
+# compare the claim with the bytes it holds before it allocates anything.
+HUGE = 2**32 - 1
+
+
+@pytest.mark.parametrize("header, payload_offset, reader", [
+    (container.header(b"DEM1", HUGE, HUGE), 13, read_binary_matrix),
+    (container.header(b"DCC1", 2, 4, HUGE), 17, codec.read_code_file),
+    (container.header(b"DCB1", 2**16, 2**15, HUGE), 17, codec.read_codebook_file),
+    (container.header(b"DCLM", 2**16, 2**15, HUGE), 17, load_checkpoint),
+], ids=["emb", "codes", "books", "checkpoint"])
+def test_oversized_header_raises_without_allocating(tmp_path, header, payload_offset,
+                                                    reader):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(header + bytes(20 - len(header)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=f"truncated payload.* at offset {payload_offset}"):
+            reader(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -49,6 +49,13 @@ def scalar_forward_oracle(params, batch, noise, cfg):
     return total / len(batch)
 
 
+def softmax(x):
+    """Max-subtracted softmax along the last axis: the reference form of
+    forward's assignment, which at temperature 1 equals softmax(log alpha + G)."""
+    z = np.exp(x - x.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
+
+
 def scalar_adam_oracle(value, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Reference Adam on a single scalar parameter across several steps."""
     m = v = 0.0
@@ -146,7 +153,7 @@ class TestForward:
         x = rng.standard_normal((6, cfg.H))
         noise = tensor.sample_gumbel(rng, (6, cfg.M, cfg.K)).astype(np.float64)
         trace = model.forward(params, x, noise if noisy else None, cfg)
-        want = model.softmax(np.log(trace.alpha) + (noise if noisy else 0.0))
+        want = softmax(np.log(trace.alpha) + (noise if noisy else 0.0))
         np.testing.assert_allclose(trace.d, want, rtol=1e-12, atol=0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -243,7 +250,7 @@ class TestModelParams:
         cfg = SchemeConfig(M=2, K=4, H=3)
         params = model.init_params(cfg, tensor.new_rng(0))
         offset = 0
-        for name in model.PARAM_NAMES:
+        for name in model.ModelParams.shapes(cfg):
             arr = getattr(params, name)
             assert arr.base is params.flat, name
             assert np.array_equal(arr.reshape(-1), params.flat[offset:offset + arr.size])
@@ -263,7 +270,8 @@ class TestModelParams:
         assert params.flat[-1] != 2.0
         assert dup.theta.base is dup.flat
 
-    @pytest.mark.parametrize("name", [*model.PARAM_NAMES, "flat"])
+    @pytest.mark.parametrize(
+        "name", [*model.ModelParams.shapes(SchemeConfig(M=2, K=4, H=3)), "flat"])
     def test_groups_cannot_be_rebound(self, name):
         cfg = SchemeConfig(M=2, K=4, H=3)
         params = model.init_params(cfg, tensor.new_rng(0))
@@ -299,7 +307,7 @@ class TestBackward:
         noise2 = np.vstack([noise, noise])
         trace2 = model.forward(params, x2, noise2, cfg)
         grads2 = model.backward(params, x2, trace2, model.ModelParams(cfg))
-        for name in model.PARAM_NAMES:
+        for name in model.ModelParams.shapes(cfg):
             assert np.allclose(getattr(grads, name), getattr(grads2, name),
                                rtol=1e-5, atol=1e-8), name
 
@@ -344,14 +352,14 @@ class TestAdam:
         rng = tensor.new_rng(0)
         params = model.init_params(cfg, rng)
         before = params.copy()
-        arrays = {name: getattr(params, name) for name in model.PARAM_NAMES}
+        arrays = {name: getattr(params, name) for name in model.ModelParams.shapes(cfg)}
         state = model.new_adam_state(params, lr=0.1)
         buffers = (params.flat, state.m, state.v, state.work)
         grads = model.ModelParams(cfg)
         for _ in range(3):
             grads.flat[...] = rng.standard_normal(grads.flat.shape)
             model.adam_step(params, grads, state)
-        for name in model.PARAM_NAMES:
+        for name in model.ModelParams.shapes(cfg):
             arr = getattr(params, name)
             assert arr is arrays[name], name
             assert not np.array_equal(arr, getattr(before, name)), name
@@ -376,7 +384,7 @@ class TestAdam:
             g32 = model.ModelParams(cfg, g64.flat.astype(np.float32))
             model.adam_step(p64, g64, s64)
             model.adam_step(p32, g32, s32)
-        for name in model.PARAM_NAMES:
+        for name in model.ModelParams.shapes(cfg):
             arr, want = getattr(p32, name), getattr(p64, name)
             assert np.all(np.abs(want) < 4), name
             assert arr.dtype == np.float32, name
@@ -429,7 +437,7 @@ class TestTemperature:
             onehot = np.zeros(8)
             onehot[logits.argmax()] = 1.0
             dists = [
-                float(np.abs(model.softmax(logits / tau) - onehot).max())
+                float(np.abs(softmax(logits / tau) - onehot).max())
                 for tau in (1.0, 0.1, 0.01)
             ]
             assert dists[0] >= dists[1] >= dists[2]
