@@ -321,11 +321,3 @@ def reconstruction_report(original, recon):
         "mean_cosine": float(cos.mean()) if len(cos) else 0.0,
         "min_cosine": float(cos.min()) if len(cos) else 0.0,
     }
-
-
-def format_pairs(pairs, fmt):
-    """Render (key, value) pairs as human text or as key<TAB>value lines."""
-    if fmt == "kv":
-        return "\n".join(f"{key}\t{value}" for key, value in pairs) + "\n"
-    width = max((len(str(k)) for k, _ in pairs), default=0)
-    return "\n".join(f"{str(k).ljust(width)}  {value}" for k, value in pairs) + "\n"

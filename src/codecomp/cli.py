@@ -1,10 +1,11 @@
 """Command-line interface.
 
-One subcommand per invocation. Reports go to stdout (human text by default,
-key<TAB>value lines with --format kv); progress logs go to stderr and are
-suppressed by --quiet. Exit codes: 2 for configuration errors and for
-paths that cannot be read or written, 3 for data errors, 4 for numeric
-failures.
+One subcommand per invocation. Each cmd_* returns its report: (key, value)
+pairs, a finished string, or None for nothing to print; main writes it to
+stdout (human text by default, key<TAB>value lines with --format kv).
+Progress logs go to stderr and are suppressed by --quiet. Exit codes: 2
+for configuration errors and for paths that cannot be read or written, 3
+for data errors, 4 for numeric failures.
 """
 
 import argparse
@@ -17,6 +18,14 @@ from .errors import CodecompError, ConfigError, NumericError
 from .model import SchemeConfig
 
 log = logging.getLogger("codecomp.cli")
+
+
+def format_pairs(pairs, fmt):
+    """Render (key, value) pairs as human text or as key<TAB>value lines."""
+    if fmt == "kv":
+        return "\n".join(f"{key}\t{value}" for key, value in pairs) + "\n"
+    width = max((len(str(k)) for k, _ in pairs), default=0)
+    return "\n".join(f"{str(k).ljust(width)}  {value}" for k, value in pairs) + "\n"
 
 
 def _count(minimum):
@@ -91,15 +100,14 @@ def cmd_train(args):
         log.error("kept last-good checkpoint at %s", args.out)
         raise
     trainer.save_checkpoint(args.out, params, report.best_iteration)
-    sys.stdout.write(analysis.format_pairs([
+    return [
         ("iterations_run", report.iterations_run),
         ("best_val_loss", report.best_val_loss),
         ("final_val_loss", report.val_loss_history[-1][1]),
         ("best_iteration", report.best_iteration),
         ("wall_time_s", round(report.wall_time, 3)),
         ("checkpoint", args.out),
-    ], args.format))
-    return 0
+    ]
 
 
 def cmd_export(args):
@@ -109,13 +117,9 @@ def cmd_export(args):
     codes, books = codec.export_codes(params, emb)
     codec.write_code_file(args.codes, codes, emb.vocab)
     codec.write_codebook_file(args.books, books)
-    sys.stdout.write(analysis.format_pairs(
-        [("words", codes.vocab_size), ("M", cfg.M), ("K", cfg.K),
-         ("bits_per_word", codes.bits_per_word), ("codes", args.codes),
-         ("books", args.books)],
-        args.format,
-    ))
-    return 0
+    return [("words", codes.vocab_size), ("M", cfg.M), ("K", cfg.K),
+            ("bits_per_word", codes.bits_per_word), ("codes", args.codes),
+            ("books", args.books)]
 
 
 def cmd_reconstruct(args):
@@ -126,29 +130,18 @@ def cmd_reconstruct(args):
     else:
         embeddings.write_text_embeddings(emb, args.out)
     log.info("wrote %d reconstructed vectors to %s", emb.vocab_size, args.out)
-    if args.ref:
-        ref = _read_embeddings(args.ref)
-        report = analysis.reconstruction_report(ref, emb)
-        sys.stdout.write(analysis.format_pairs(list(report.items()), args.format))
-    return 0
 
 
 def cmd_stats(args):
     original = _read_embeddings(args.emb)
     recon = _load_recon(args)
-    report = analysis.reconstruction_report(original, recon)
-    sys.stdout.write(analysis.format_pairs(list(report.items()), args.format))
-    return 0
+    return list(analysis.reconstruction_report(original, recon).items())
 
 
 def cmd_balance(args):
     codes, _ = codec.read_code_file(args.codes)
     table = analysis.balance_table(codes)
-    if args.format == "csv":
-        sys.stdout.write(table.to_csv())
-    else:
-        sys.stdout.write(analysis.format_pairs(table.as_pairs(), args.format))
-    return 0
+    return table.to_csv() if args.format == "csv" else table.as_pairs()
 
 
 def cmd_shared(args):
@@ -160,27 +153,25 @@ def cmd_shared(args):
             pairs.append((f"group.{i}.code", "-".join(str(c) for c in code)))
             pairs.append((f"group.{i}.size", len(words)))
             pairs.append((f"group.{i}.words", " ".join(words)))
-        sys.stdout.write(analysis.format_pairs(pairs, "kv"))
-    else:
-        lines = [f"{len(groups)} shared codes"]
-        for code, words in groups:
-            code_txt = "-".join(str(c) for c in code)
-            lines.append(f"  [{code_txt}] x{len(words)}: {' '.join(words)}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+        return pairs
+    lines = [f"{len(groups)} shared codes"]
+    for code, words in groups:
+        code_txt = "-".join(str(c) for c in code)
+        lines.append(f"  [{code_txt}] x{len(words)}: {' '.join(words)}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_size(args):
     scheme = SchemeConfig(M=args.M, K=args.K, H=args.H)
     report = analysis.size_report(scheme, args.vocab)
-    sys.stdout.write(analysis.format_pairs(list(report.items()), args.format))
-    if args.format != "kv":
-        sys.stdout.write(
-            f"note: binary coding over the same {report['num_vectors']} basis vectors "
-            f"needs {report['binary_equivalent_bits']} bits/word\n"
-            "note: sizes are raw uncompressed bytes; MB means 10^6 bytes\n"
-        )
-    return 0
+    pairs = list(report.items())
+    if args.format == "kv":
+        return pairs
+    return format_pairs(pairs, "text") + (
+        f"note: binary coding over the same {report['num_vectors']} basis vectors "
+        f"needs {report['binary_equivalent_bits']} bits/word\n"
+        "note: sizes are raw uncompressed bytes; MB means 10^6 bytes\n"
+    )
 
 
 def cmd_pq(args):
@@ -193,12 +184,8 @@ def cmd_pq(args):
         codec.write_code_file(args.codes, codes, emb.vocab)
     if args.books:
         codec.write_codebook_file(args.books, books)
-    sys.stdout.write(analysis.format_pairs(
-        [("words", emb.vocab_size), ("M", args.M), ("K", args.K),
-         ("iterations", args.iters), ("seed", args.seed), ("loss", loss)],
-        args.format,
-    ))
-    return 0
+    return [("words", emb.vocab_size), ("M", args.M), ("K", args.K),
+            ("iterations", args.iters), ("seed", args.seed), ("loss", loss)]
 
 
 def cmd_nn_overlap(args):
@@ -207,12 +194,8 @@ def cmd_nn_overlap(args):
     overlap = analysis.neighbor_overlap(
         original, recon, k=args.k, sample=args.sample, seed=args.seed,
     )
-    sys.stdout.write(analysis.format_pairs(
-        [("k", args.k), ("sample", min(args.sample, original.vocab_size)),
-         ("overlap", overlap)],
-        args.format,
-    ))
-    return 0
+    return [("k", args.k), ("sample", min(args.sample, original.vocab_size)),
+            ("overlap", overlap)]
 
 
 def _add_common_flags(parser, formats=("text", "kv")):
@@ -244,10 +227,10 @@ def build_parser():
     p.add_argument("--emb", required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--iters", type=_count(0), default=200_000)
-    p.add_argument("--batch", type=_count(1), default=128)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--seed", type=_count(0), default=0)
+    p.add_argument("--iters", type=_count(0), default=trainer.TrainConfig.iterations)
+    p.add_argument("--batch", type=_count(1), default=trainer.TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=trainer.TrainConfig.lr)
+    p.add_argument("--seed", type=_count(0), default=trainer.TrainConfig.seed)
     p.add_argument("--limit", type=_count(1), default=None,
                    help="use only the first N words")
     p.add_argument("--out", required=True, help="checkpoint output path")
@@ -267,8 +250,6 @@ def build_parser():
     p.add_argument("--books", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--out-format", choices=("text", "binary"), default="text")
-    p.add_argument("--ref", default=None,
-                   help="original embeddings; prints a quality report")
     p.set_defaults(fn=cmd_reconstruct, recon=None)
 
     p = sub.add_parser("stats", parents=[common, compare],
@@ -325,7 +306,12 @@ def main(argv=None):
             format="%(message)s",
             force=True,
         )
-        return args.fn(args)
+        report = args.fn(args)
+        if isinstance(report, list):
+            report = format_pairs(report, args.format)
+        if report:
+            sys.stdout.write(report)
+        return 0
     except SystemExit as exc:  # argparse: --help, or a bad flag (exit 2)
         return int(exc.code) if exc.code is not None else 0
     except CodecompError as exc:

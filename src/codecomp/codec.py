@@ -12,7 +12,7 @@ import numpy as np
 from . import container
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
-from .model import assign, bits_per_word, check_scheme, encode
+from .model import assign, bits_per_word, check_header, check_scheme, encode
 # matmul is unused here, but bench/tracing.py patches codec.matmul by name.
 from .tensor import matmul  # noqa: F401
 
@@ -86,11 +86,7 @@ def export_codes(params, emb):
     """
     cfg = params.scheme
     matrix = emb.matrix
-    if matrix.shape[1] != cfg.H:
-        raise ConfigError(
-            f"embedding dimension {matrix.shape[1]} does not match scheme H={cfg.H}"
-        )
-    emb.require_finite("export")
+    emb.require_input("export", cfg.H)
     vocab_size = matrix.shape[0]
     out = np.empty((vocab_size, cfg.M), dtype=np.int32)
     for start in range(0, vocab_size, _EXPORT_CHUNK):
@@ -116,15 +112,12 @@ def codeword_sums(codes, books):
     return acc
 
 
-def reconstruct_all(codes, books, vocab=None):
+def reconstruct_all(codes, books, vocab):
     """Compose every word's embedding from its code; returns an EmbeddingMatrix.
 
-    Without a vocabulary, positional names are generated, since codes do not
-    carry words (the code file format does).
+    vocab names the words in code order; a code file carries them, codes do not.
     """
     matrix = codeword_sums(codes, books).astype(np.float32)
-    if vocab is None:
-        vocab = [f"w{i}" for i in range(codes.vocab_size)]
     return EmbeddingMatrix(vocab=list(vocab), matrix=matrix)
 
 
@@ -143,26 +136,13 @@ def pack_codes(codes):
     return header + packed.tobytes()
 
 
-def _check_header(source, m, k, h=1):
-    """DataError naming the first header field that breaks the scheme rule.
-
-    Code and codebook headers hold u32 M at offset 5, K at 9 and (codebooks)
-    H at 13. Each field is checked alone, with valid stand-ins for the others.
-    """
-    for offset, fields in ((5, (m, 2, 1)), (9, (1, k, 1)), (13, (1, 2, h))):
-        try:
-            check_scheme(*fields)
-        except ConfigError as exc:
-            raise DataError(f"{source}: header at offset {offset}: {exc}") from exc
-
-
 def unpack_codes(data, source="code data"):
     """Parse packed codes; returns (CodeMatrix, offset just past the records).
 
     Code files append the vocabulary after the records. source prefixes errors.
     """
     (m, k, vocab_size), offset = container.read_header(data, CODE_MAGIC, 3, source)
-    _check_header(source, m, k)
+    check_header(source, m, k)
     bits = bits_per_word(1, k)  # per component
     shape = (vocab_size, (m * bits + 7) // 8)
     raw, offset = container.read_array(data, offset, shape, source, dtype=np.uint8)
@@ -202,6 +182,6 @@ def read_codebook_file(path):
     with open(path, "rb") as fh:
         data = fh.read()
     (m, k, h), offset = container.read_header(data, BOOK_MAGIC, 3, path)
-    _check_header(path, m, k, h)
+    check_header(path, m, k, h)
     vectors, _ = container.read_array(data, offset, (m * k, h), path)
     return Codebooks(m, k, h, vectors)

@@ -45,6 +45,14 @@ class EmbeddingMatrix:
     def dim(self):
         return self.matrix.shape[1]
 
+    def require_input(self, consumer, H):
+        """Train's and export's input check: H columns, then require_finite."""
+        if self.dim != H:
+            raise ConfigError(
+                f"embedding dimension {self.dim} does not match scheme H={H}"
+            )
+        self.require_finite(consumer)
+
     def require_finite(self, consumer):
         """DataError naming the first word with a NaN or infinite value, if any."""
         finite = np.isfinite(self.matrix).all(axis=1)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .tensor import matmul, softplus
 
 # Floor applied to alpha so 32-bit softplus underflow cannot zero a score:
@@ -57,6 +57,20 @@ def check_scheme(M, K, H=1):
         raise ConfigError(f"K must be a power of 2 and >= 2, got {K}")
     if H < 1:
         raise ConfigError(f"H must be >= 1, got {H}")
+
+
+def check_header(source, m, k, h=1):
+    """DataError naming the first header field that breaks the scheme rule.
+
+    Code, codebook and checkpoint headers hold u32 M at offset 5, K at 9
+    and (codebooks, checkpoints) H at 13. Each field is checked alone, with
+    valid stand-ins for the others.
+    """
+    for offset, fields in ((5, (m, 2, 1)), (9, (1, k, 1)), (13, (1, 2, h))):
+        try:
+            check_scheme(*fields)
+        except ConfigError as exc:
+            raise DataError(f"{source}: header at offset {offset}: {exc}") from exc
 
 
 def bits_per_word(M, K):
@@ -163,17 +177,17 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     work: np.ndarray
+    lr: float
     t: int = 0
-    lr: float = 1e-4
 
 
-def new_adam_state(params, lr=1e-4):
+def new_adam_state(params, lr):
     """Zeroed moments and a scratch buffer, in the parameter dtype."""
     return AdamState(
         m=np.zeros_like(params.flat),
         v=np.zeros_like(params.flat),
         work=np.empty_like(params.flat),
-        t=0, lr=lr,
+        lr=lr,
     )
 
 

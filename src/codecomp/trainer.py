@@ -22,6 +22,7 @@ from .model import (
     SchemeConfig,
     backward,
     adam_step,
+    check_header,
     forward,
     init_params,
     new_adam_state,
@@ -100,11 +101,7 @@ def train(emb, tc):
     """
     cfg = tc.scheme
     matrix = emb.matrix
-    if matrix.shape[1] != cfg.H:
-        raise ConfigError(
-            f"embedding dimension {matrix.shape[1]} does not match scheme H={cfg.H}"
-        )
-    emb.require_finite("training")
+    emb.require_input("training", cfg.H)
     t_start = time.perf_counter()
     rng = new_rng(tc.seed)
     train_idx, val_idx = split_validation(emb, tc, rng)
@@ -169,10 +166,8 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         data = fh.read()
     (m, k, h), offset = container.read_header(data, CHECKPOINT_MAGIC, 3, path)
-    try:
-        cfg = SchemeConfig(M=m, K=k, H=h)
-    except ConfigError as exc:
-        raise DataError(f"{path}: checkpoint holds invalid scheme: {exc}") from exc
+    check_header(path, m, k, h)
+    cfg = SchemeConfig(M=m, K=k, H=h)
     flat, offset = container.read_array(data, offset, (ModelParams.size(cfg),), path)
     if offset + 8 > len(data):
         raise DataError(

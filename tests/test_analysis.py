@@ -11,7 +11,6 @@ from codecomp.analysis import (
     _kmeans_block,
     _nearest,
     balance_table,
-    format_pairs,
     neighbor_overlap,
     pq_baseline,
     reconstruction_report,
@@ -223,7 +222,7 @@ class TestPqBaseline:
         emb = random_embeddings(64, 300, seed=7)
         codes, books, loss = pq_baseline(emb, M=16, K=4, iterations=3, seed=0)
         assert codes.codes.shape == (64, 16)
-        recon = reconstruct_all(codes, books).matrix
+        recon = reconstruct_all(codes, books, emb.vocab).matrix
         diff = recon.astype(np.float64) - emb.matrix.astype(np.float64)
         assert float((diff ** 2).sum(axis=1).mean()) == pytest.approx(loss, rel=1e-5)
 
@@ -473,16 +472,3 @@ class TestReconstructionReport:
         b = EmbeddingMatrix(vocab=["w"], matrix=np.zeros((1, 3)))
         with pytest.raises(ConfigError):
             reconstruction_report(a, b)
-
-
-class TestFormatPairs:
-    def test_kv_is_tab_separated(self):
-        out = format_pairs([("a", 1), ("bb", 2.5)], "kv")
-        assert out == "a\t1\nbb\t2.5\n"
-
-    def test_text_aligns_keys(self):
-        out = format_pairs([("a", 1), ("long_key", 2)], "text")
-        assert out == "a         1\nlong_key  2\n"
-
-    def test_empty(self):
-        assert format_pairs([], "kv") == "\n"

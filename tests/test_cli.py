@@ -9,7 +9,7 @@ import pytest
 
 import codecomp
 from codecomp import codec, container, model, tensor, trainer
-from codecomp.cli import main
+from codecomp.cli import format_pairs, main
 from codecomp.embeddings import (
     EmbeddingMatrix,
     read_binary_matrix,
@@ -242,12 +242,14 @@ class TestExportReconstruct:
         out_path = tmp_path / "recon.txt"
         assert main([
             "reconstruct", "--codes", str(codes_path), "--books", str(books_path),
-            "--out", str(out_path), "--ref", str(emb_file),
-            "--format", "kv", "--quiet",
+            "--out", str(out_path), "--format", "kv", "--quiet",
         ]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["stats", "--emb", str(emb_file), "--recon", str(out_path),
+                     "--format", "kv", "--quiet"]) == 0
         report = kv(capsys.readouterr().out)
+        assert report["vocab_size"] == "60"
         assert float(report["mse"]) >= 0
-        assert out_path.exists()
 
     def test_export_is_deterministic(self, emb_file, trained, tmp_path):
         paths = []
@@ -556,12 +558,35 @@ def test_threads_flag_is_gone(emb_file, capsys, argv):
     assert captured.out == ""
 
 
+def test_ref_flag_is_gone(emb_file, tmp_path, capsys):
+    out = tmp_path / "recon.txt"
+    assert main(["reconstruct", "--codes", "c.bin", "--books", "b.bin",
+                 "--out", str(out), "--ref", str(emb_file), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: --ref {emb_file}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_codecomp_environment_is_ignored(emb_file, capsys, monkeypatch):
     monkeypatch.setenv("CODECOMP_SEED", "7")
     monkeypatch.setenv("CODECOMP_THREADS", "many")
     assert main(["pq", "--emb", str(emb_file), "--M", "2", "--K", "4",
                  "--format", "kv", "--quiet"]) == 0
     assert kv(capsys.readouterr().out)["seed"] == "0"
+
+
+class TestFormatPairs:
+    def test_kv_is_tab_separated(self):
+        out = format_pairs([("a", 1), ("bb", 2.5)], "kv")
+        assert out == "a\t1\nbb\t2.5\n"
+
+    def test_text_aligns_keys(self):
+        out = format_pairs([("a", 1), ("long_key", 2)], "text")
+        assert out == "a         1\nlong_key  2\n"
+
+    def test_empty(self):
+        assert format_pairs([], "kv") == "\n"
 
 
 class TestLogging:

@@ -120,7 +120,7 @@ class TestCompose:
         vectors = np.arange(8 * 3, dtype=np.float32).reshape(8, 3)
         books = Codebooks(2, 4, 3, vectors)
         # book 0 codeword 3 is row 3, book 1 codeword 1 is row 5
-        got = reconstruct_all(CodeMatrix(2, 4, np.array([[3, 1]])), books).matrix
+        got = reconstruct_all(CodeMatrix(2, 4, np.array([[3, 1]])), books, ["a"]).matrix
         want = vectors[3] + vectors[5]
         assert np.array_equal(got, want[None])
         assert got.dtype == np.float32
@@ -129,21 +129,20 @@ class TestCompose:
         # A code outside [0, K-1] cannot reach the decoder: CodeMatrix rejects it.
         with pytest.raises(DataError):
             reconstruct_all(CodeMatrix(2, 4, np.array([[0, 4]])),
-                            Codebooks(2, 4, 3, np.zeros((8, 3), dtype=np.float32)))
+                            Codebooks(2, 4, 3, np.zeros((8, 3), dtype=np.float32)), ["a"])
 
     def test_wrong_length_code(self):
         with pytest.raises(ConfigError):
             reconstruct_all(CodeMatrix(2, 4, np.array([[0, 1, 2]])),
-                            Codebooks(2, 4, 3, np.zeros((8, 3), dtype=np.float32)))
+                            Codebooks(2, 4, 3, np.zeros((8, 3), dtype=np.float32)), ["a"])
 
     def test_reconstruct_all_matches_per_word_compose(self):
         rng = tensor.new_rng(11)
         vectors = rng.standard_normal((3 * 8, 6)).astype(np.float32)
         books = Codebooks(3, 8, 6, vectors)
         codes = CodeMatrix(3, 8, rng.integers(0, 8, size=(20, 3)))
-        recon = reconstruct_all(codes, books)
+        recon = reconstruct_all(codes, books, [f"w{i}" for i in range(20)])
         assert recon.matrix.shape == (20, 6)
-        assert recon.vocab[0] == "w0"
         for w in range(20):
             assert np.array_equal(recon.matrix[w], compose_one(codes.codes[w], books))
 
@@ -157,7 +156,7 @@ class TestCompose:
         books = Codebooks(2, 4, 3, np.zeros((8, 3), dtype=np.float32))
         codes = CodeMatrix(2, 8, np.zeros((5, 2), dtype=np.int64))
         with pytest.raises(DataError):
-            reconstruct_all(codes, books)
+            reconstruct_all(codes, books, list("abcde"))
 
 
 class TestPacking:

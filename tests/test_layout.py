@@ -1,8 +1,9 @@
 """Source layout checks on src/codecomp.
 
 Every name a module imports is used there, a function that takes params
-reads the scheme from params.scheme rather than taking it again, and no
-module-level function is there only for the tests to call.
+reads the scheme from params.scheme rather than taking it again, no
+module-level function is there only for the tests to call, and only
+cli.main writes to stdout.
 """
 
 import ast
@@ -127,3 +128,43 @@ def test_orphaned_function_is_caught(tmp_path):
     (tmp_path / "__init__.py").write_text("from .a import exported\n")
     paths = sorted(tmp_path.glob("*.py"))
     assert orphaned_functions(paths) == [("a", "exported"), ("a", "orphan")]
+
+
+def writes_stdout(node):
+    """Whether node reads sys.stdout, imports it, or prints without file=."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "stdout" and isinstance(node.value, ast.Name)
+                and node.value.id == "sys")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "sys" and any(a.name == "stdout" for a in node.names)
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and node.func.id == "print"
+                and not any(kw.arg == "file" for kw in node.keywords))
+    return False
+
+
+def stdout_writers(paths):
+    """(module, top-level name or None) of each node that writes_stdout."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            found += [(path.stem, owner) for node in ast.walk(top) if writes_stdout(node)]
+    return found
+
+
+def test_only_cli_main_writes_stdout():
+    # Commands return their reports and main writes them: one output path.
+    assert stdout_writers(sorted(SRC.glob("*.py"))) == [("cli", "main")]
+
+
+def test_stdout_writer_is_caught(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import sys\nfrom sys import stdout\n"
+        "def main():\n    sys.stdout.write('x')\n"
+        "def helper():\n    print('y')\n    print('z', file=sys.stderr)\n"
+        "class Report:\n    def show(self):\n        sys.stdout.flush()\n"
+        "x = sys.stderr\n")
+    assert stdout_writers([tmp_path / "mod.py"]) == [
+        ("mod", None), ("mod", "main"), ("mod", "helper"), ("mod", "Report")]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from codecomp import model, tensor, trainer
+from codecomp import container, model, tensor, trainer
 from codecomp.embeddings import EmbeddingMatrix
 from codecomp.errors import ConfigError, DataError, NumericError
 from codecomp.model import SchemeConfig
@@ -294,6 +294,18 @@ class TestCheckpoint:
         # theta 5x4, b 4, theta_prime 4x8, b_prime 8, A 8x5
         n_floats = 20 + 4 + 32 + 8 + 40
         assert len(raw) == 17 + 4 * n_floats + 8
+
+    @pytest.mark.parametrize("dims, offset, message", [
+        ((0, 4, 5), 5, "M must be >= 1, got 0"),
+        ((2, 3, 5), 9, "K must be a power of 2 and >= 2, got 3"),
+        ((2, 4, 0), 13, "H must be >= 1, got 0"),
+    ], ids=["M0", "K3", "H0"])
+    def test_invalid_scheme_in_header_names_offset(self, tmp_path, dims, offset, message):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(container.header(b"DCLM", *dims) + bytes(64))
+        with pytest.raises(DataError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: header at offset {offset}: {message}"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
