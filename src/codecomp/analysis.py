@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Codebooks, CodeMatrix
+from .embeddings import row_blocks
 from .errors import ConfigError
 from .model import check_scheme
 from .tensor import new_rng
@@ -100,18 +101,28 @@ def shared_code_groups(codes, vocab):
     """Groups of words with identical full codes, largest group first.
 
     Only groups of two or more words are returned. Groups of equal size
-    keep first-occurrence order, so output is deterministic.
+    keep first-occurrence order, so output is deterministic. Words within
+    a group keep their vocabulary order.
     """
-    if len(vocab) != codes.vocab_size:
-        raise ConfigError(
-            f"vocabulary has {len(vocab)} words but codes cover {codes.vocab_size}"
-        )
-    groups = {}
-    for idx, row in enumerate(codes.codes):
-        groups.setdefault(tuple(int(c) for c in row), []).append(idx)
-    shared = [(code, idxs) for code, idxs in groups.items() if len(idxs) >= 2]
-    shared.sort(key=lambda item: (-len(item[1]), item[1][0]))
-    return [(code, [vocab[i] for i in idxs]) for code, idxs in shared]
+    codes.check_vocab(vocab)
+    # Each word's code as one opaque M x 4-byte value: np.unique sorts those
+    # bytewise, several times faster than rows with axis=0. Its order of
+    # groups is never shown; first gives each group's first word.
+    rows = np.ascontiguousarray(codes.codes)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * codes.M)))
+    _, first, inverse, counts = np.unique(
+        keys.reshape(-1), return_index=True, return_inverse=True, return_counts=True,
+    )
+    # Word indices grouped by code, in vocabulary order within each group.
+    members = np.argsort(inverse, kind="stable")
+    starts = np.cumsum(counts) - counts
+    shared = np.flatnonzero(counts >= 2)
+    shared = shared[np.lexsort((first[shared], -counts[shared]))]
+    return [
+        (tuple(rows[first[g]].tolist()),
+         [vocab[i] for i in members[starts[g]:starts[g] + counts[g]]])
+        for g in shared
+    ]
 
 
 def _nearest(block, xx, xn, centroids):
@@ -246,9 +257,17 @@ def pq_baseline(emb, M, K, iterations=25, seed=0):
 
 
 def _normalize_rows(matrix):
+    """A float64 copy of matrix with unit rows; zero rows stay zero.
+
+    The copy is divided in place, block by block, so it is the only
+    vocabulary-sized array made.
+    """
     x = matrix.astype(np.float64)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
+    for rows in row_blocks(len(x)):
+        block = x[rows]
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        np.divide(block, norms, out=block, where=norms > 0)
+    return x
 
 
 def _check_pair(original, recon, consumer):
@@ -296,28 +315,34 @@ def reconstruction_report(original, recon):
     """Quality of a reconstruction against the original matrix.
 
     mse follows the training convention (squared L2 summed over dimensions,
-    averaged over words). Cosines of exactly-zero rows count as 0.
+    averaged over words). Cosines of exactly-zero rows count as 0. Rows are
+    compared in float64 one block at a time; only per-row vectors span the
+    vocabulary, and each row's sums are those of a whole-matrix pass.
     """
     _check_pair(original, recon, "the reconstruction report")
     if original.dim != recon.dim:
         raise ConfigError(
             f"dimension mismatch: {original.dim} vs {recon.dim}"
         )
-    a = original.matrix.astype(np.float64)
-    b = recon.matrix.astype(np.float64)
-    diff = b - a
-    mse = float((diff ** 2).sum(axis=1).mean()) if len(a) else 0.0
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
+    vocab_size = original.vocab_size
+    sq_err, dot, na, nb = np.empty((4, vocab_size))
+    max_abs = 0.0
+    for rows in row_blocks(vocab_size):
+        a = original.matrix[rows].astype(np.float64)
+        b = recon.matrix[rows].astype(np.float64)
+        na[rows] = np.linalg.norm(a, axis=1)
+        nb[rows] = np.linalg.norm(b, axis=1)
+        dot[rows] = (a * b).sum(axis=1)
+        b -= a
+        max_abs = max(max_abs, float(np.abs(b).max(initial=0.0)))
+        sq_err[rows] = (b ** 2).sum(axis=1)
     denom = na * nb
-    cos = np.divide(
-        (a * b).sum(axis=1), denom, out=np.zeros(len(a)), where=denom > 0
-    )
+    cos = np.divide(dot, denom, out=np.zeros(vocab_size), where=denom > 0)
     return {
-        "vocab_size": original.vocab_size,
+        "vocab_size": vocab_size,
         "dim": original.dim,
-        "mse": mse,
-        "max_abs_error": float(np.abs(diff).max()) if diff.size else 0.0,
+        "mse": float(sq_err.mean()) if vocab_size else 0.0,
+        "max_abs_error": max_abs,
         "mean_cosine": float(cos.mean()) if len(cos) else 0.0,
         "min_cosine": float(cos.min()) if len(cos) else 0.0,
     }

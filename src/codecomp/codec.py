@@ -7,10 +7,12 @@ concatenated LSB-first into a little-endian bit stream and each word is
 padded to a byte boundary for O(1) random access.
 """
 
+import io
+
 import numpy as np
 
 from . import container
-from .embeddings import EmbeddingMatrix
+from .embeddings import EmbeddingMatrix, row_blocks
 from .errors import ConfigError, DataError
 from .model import assign, bits_per_word, check_header, check_scheme, encode
 # matmul is unused here, but bench/tracing.py patches codec.matmul by name.
@@ -18,9 +20,6 @@ from .tensor import matmul  # noqa: F401
 
 CODE_MAGIC = b"DCC1"
 BOOK_MAGIC = b"DCB1"
-
-# Export runs the encoder in slices this large to bound peak memory.
-_EXPORT_CHUNK = 8192
 
 
 class CodeMatrix:
@@ -52,6 +51,13 @@ class CodeMatrix:
     @property
     def bytes_per_word(self):
         return (self.bits_per_word + 7) // 8
+
+    def check_vocab(self, vocab):
+        """ConfigError unless vocab names exactly one word per code."""
+        if len(vocab) != self.vocab_size:
+            raise ConfigError(
+                f"vocabulary has {len(vocab)} words but codes cover {self.vocab_size}"
+            )
 
 
 class Codebooks:
@@ -85,53 +91,61 @@ def export_codes(params, emb):
     A word with a NaN or infinite value raises DataError naming it.
     """
     cfg = params.scheme
-    matrix = emb.matrix
     emb.require_input("export", cfg.H)
-    vocab_size = matrix.shape[0]
-    out = np.empty((vocab_size, cfg.M), dtype=np.int32)
-    for start in range(0, vocab_size, _EXPORT_CHUNK):
-        _, alpha = encode(params, matrix[start:start + _EXPORT_CHUNK])
-        out[start:start + _EXPORT_CHUNK] = assign(alpha)
+    out = np.empty((emb.vocab_size, cfg.M), dtype=np.int32)
+    for rows in row_blocks(emb.vocab_size):
+        _, alpha = encode(params, emb.matrix[rows])
+        out[rows] = assign(alpha)
     books = Codebooks(cfg.M, cfg.K, cfg.H, params.A.copy())
     return CodeMatrix(cfg.M, cfg.K, out), books
 
 
-def codeword_sums(codes, books):
-    """vocab_size x H float64 sums of each word's codewords, codebook 0 first.
+def codeword_sums(codes, books, rows=slice(None)):
+    """float64 sums of the codewords of the words in rows, codebook 0 first.
 
     The one decoder: reconstruct_all and synthetic_embeddings round it.
+    Each row's sum depends only on its own code, so a block of rows gives
+    the same bits as the same rows of the whole vocabulary.
     """
     if codes.M != books.M or codes.K != books.K:
         raise DataError(
             f"codes are ({codes.M}, {codes.K}) but codebooks are "
             f"({books.M}, {books.K})"
         )
-    acc = np.zeros((codes.vocab_size, books.H), dtype=np.float64)
+    block = codes.codes[rows]
+    acc = np.zeros((len(block), books.H), dtype=np.float64)
     for i in range(books.M):
-        acc += books.vectors[i * books.K + codes.codes[:, i]]
+        acc += books.vectors[i * books.K + block[:, i]]
     return acc
 
 
 def reconstruct_all(codes, books, vocab):
     """Compose every word's embedding from its code; returns an EmbeddingMatrix.
 
-    vocab names the words in code order; a code file carries them, codes do not.
+    vocab names the words in code order; a code file carries them, codes do
+    not. The float32 output is filled block by block, each block rounded
+    from its codeword_sums, so no vocabulary-sized float64 array exists.
     """
-    matrix = codeword_sums(codes, books).astype(np.float32)
+    matrix = np.empty((codes.vocab_size, books.H), dtype=np.float32)
+    for rows in row_blocks(codes.vocab_size):
+        matrix[rows] = codeword_sums(codes, books, rows)
     return EmbeddingMatrix(vocab=list(vocab), matrix=matrix)
 
 
 def pack_codes(codes):
     """Serialize a CodeMatrix to bytes: header then one padded record per word."""
     bits = bits_per_word(1, codes.K)  # per component
-    # (V, M, bits) bit planes, LSB first, flattened per word then padded
-    # out to whole bytes.
-    planes = (codes.codes[:, :, None] >> np.arange(bits)) & 1
-    flat = planes.reshape(codes.vocab_size, codes.M * bits).astype(np.uint8)
-    pad = codes.bytes_per_word * 8 - flat.shape[1]
-    if pad:
-        flat = np.pad(flat, ((0, 0), (0, pad)))
-    packed = np.packbits(flat, axis=1, bitorder="little")
+    shifts = np.arange(bits, dtype=np.int32)
+    pad = codes.bytes_per_word * 8 - codes.M * bits
+    packed = np.empty((codes.vocab_size, codes.bytes_per_word), dtype=np.uint8)
+    for rows in row_blocks(codes.vocab_size):
+        # (rows, M, bits) bit planes, LSB first, flattened per word then
+        # padded out to whole bytes.
+        planes = (codes.codes[rows, :, None] >> shifts) & 1
+        flat = planes.reshape(len(planes), codes.M * bits).astype(np.uint8)
+        if pad:
+            flat = np.pad(flat, ((0, 0), (0, pad)))
+        packed[rows] = np.packbits(flat, axis=1, bitorder="little")
     header = container.header(CODE_MAGIC, codes.M, codes.K, codes.vocab_size)
     return header + packed.tobytes()
 
@@ -139,25 +153,28 @@ def pack_codes(codes):
 def unpack_codes(data, source="code data"):
     """Parse packed codes; returns (CodeMatrix, offset just past the records).
 
-    Code files append the vocabulary after the records. source prefixes errors.
+    data is the bytes pack_codes wrote, or a binary file open at their
+    start, which is left just past the records: code files append the
+    vocabulary there. source prefixes errors.
     """
-    (m, k, vocab_size), offset = container.read_header(data, CODE_MAGIC, 3, source)
+    fh = data if hasattr(data, "read") else io.BytesIO(data)
+    m, k, vocab_size = container.read_header(fh, CODE_MAGIC, 3, source)
     check_header(source, m, k)
     bits = bits_per_word(1, k)  # per component
     shape = (vocab_size, (m * bits + 7) // 8)
-    raw, offset = container.read_array(data, offset, shape, source, dtype=np.uint8)
-    flat = np.unpackbits(raw, axis=1, bitorder="little")
-    planes = flat[:, : m * bits].reshape(vocab_size, m, bits)
-    values = (planes.astype(np.int32) << np.arange(bits, dtype=np.int32)).sum(axis=2)
-    return CodeMatrix(m, k, values), offset
+    raw = container.read_array(fh, shape, source, dtype=np.uint8)
+    shifts = np.arange(bits, dtype=np.int32)
+    values = np.empty((vocab_size, m), dtype=np.int32)
+    for rows in row_blocks(vocab_size):
+        flat = np.unpackbits(raw[rows], axis=1, bitorder="little")
+        planes = flat[:, : m * bits].reshape(len(flat), m, bits)
+        values[rows] = (planes.astype(np.int32) << shifts).sum(axis=2)
+    return CodeMatrix(m, k, values), fh.tell()
 
 
 def write_code_file(path, codes, vocab):
     """Code file: packed codes followed by the vocabulary, in word order."""
-    if len(vocab) != codes.vocab_size:
-        raise ConfigError(
-            f"vocabulary has {len(vocab)} words but codes cover {codes.vocab_size}"
-        )
+    codes.check_vocab(vocab)
     with open(path, "wb") as fh:
         fh.write(pack_codes(codes))
         fh.write(container.vocab_bytes(vocab))
@@ -165,9 +182,8 @@ def write_code_file(path, codes, vocab):
 
 def read_code_file(path):
     with open(path, "rb") as fh:
-        data = fh.read()
-    codes, offset = unpack_codes(data, path)
-    vocab, _ = container.read_vocab(data, offset, codes.vocab_size, path)
+        codes, _ = unpack_codes(fh, path)
+        vocab = container.read_vocab(fh, codes.vocab_size, path)
     return codes, vocab
 
 
@@ -180,8 +196,7 @@ def write_codebook_file(path, books):
 
 def read_codebook_file(path):
     with open(path, "rb") as fh:
-        data = fh.read()
-    (m, k, h), offset = container.read_header(data, BOOK_MAGIC, 3, path)
-    check_header(path, m, k, h)
-    vectors, _ = container.read_array(data, offset, (m * k, h), path)
+        m, k, h = container.read_header(fh, BOOK_MAGIC, 3, path)
+        check_header(path, m, k, h)
+        vectors = container.read_array(fh, (m * k, h), path)
     return Codebooks(m, k, h, vectors)

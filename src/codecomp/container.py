@@ -8,10 +8,14 @@ one that writes or parses those pieces; each format (DEM1 embeddings,
 DCC1 codes, DCB1 codebooks, DCLM checkpoints) only chooses its magic, its
 header fields and the order of what follows.
 
-Readers work on the whole file as bytes and take a `source` (the path,
-or a description for in-memory data) that prefixes every error message.
+Readers take an open binary file (or io.BytesIO over in-memory data),
+read each piece from where the previous one ended, and take a `source`
+(the path, or a description for in-memory data) that prefixes every error
+message. An array is read straight into its final numpy buffer, so a
+reader holds its payload once, not as file bytes plus a copy.
 """
 
+import io
 import math
 import struct
 
@@ -21,15 +25,18 @@ from .errors import DataError
 
 VERSION = 1
 
+_U32 = struct.Struct("<I")  # a vocabulary entry's byte length
+
 
 def header(magic, *fields):
     """Magic, version byte and the u32 fields as bytes."""
     return magic + struct.pack(f"<B{len(fields)}I", VERSION, *fields)
 
 
-def read_header(data, magic, count, source):
-    """Check magic and version; returns (the count u32 fields, payload offset)."""
+def read_header(fh, magic, count, source):
+    """Check magic and version at the start of fh; returns the count u32 fields."""
     end = 5 + 4 * count
+    data = fh.read(end)
     if len(data) < end:
         raise DataError(
             f"{source}: too short: {len(data)} bytes, need {end} for the "
@@ -43,25 +50,36 @@ def read_header(data, magic, count, source):
         raise DataError(
             f"{source}: unsupported {magic.decode()} version {data[4]} at offset 4"
         )
-    return struct.unpack_from(f"<{count}I", data, 5), end
+    return struct.unpack_from(f"<{count}I", data, 5)
 
 
 def floats(array):
-    """Row-major little-endian float32 bytes of an array."""
-    return np.ascontiguousarray(array, dtype="<f4").tobytes()
+    """The array as row-major little-endian float32; a file writes its buffer.
+
+    No copy is made when the array already has that layout.
+    """
+    return np.ascontiguousarray(array, dtype="<f4")
 
 
-def read_array(data, offset, shape, source, dtype="<f4"):
-    """A copy of the array of `shape` stored at offset; returns (array, end offset)."""
-    count = math.prod(shape)
-    nbytes = count * np.dtype(dtype).itemsize
-    if len(data) - offset < nbytes:
+def read_array(fh, shape, source, dtype="<f4"):
+    """The array of `shape` stored at fh's position, read into a new array.
+
+    The payload's size is checked against the bytes left in the file before
+    anything is allocated, so a header that claims too much costs nothing.
+    """
+    offset = fh.tell()
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    got = min(nbytes, fh.seek(0, io.SEEK_END) - offset)
+    fh.seek(offset)
+    if got == nbytes:
+        array = np.empty(shape, dtype=dtype)
+        got = fh.readinto(array)
+    if got < nbytes:
         raise DataError(
             f"{source}: truncated payload: expected {nbytes} bytes at offset "
-            f"{offset}, got {len(data) - offset}"
+            f"{offset}, got {got}"
         )
-    array = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-    return array.reshape(shape).copy(), offset + nbytes
+    return array
 
 
 def vocab_bytes(vocab):
@@ -69,29 +87,35 @@ def vocab_bytes(vocab):
     parts = []
     for word in vocab:
         blob = word.encode("utf-8")
-        parts += (struct.pack("<I", len(blob)), blob)
+        parts += (_U32.pack(len(blob)), blob)
     return b"".join(parts)
 
 
-def read_vocab(data, offset, count, source):
-    """count words stored by vocab_bytes at offset; returns (words, end offset)."""
+def read_vocab(fh, count, source):
+    """count words stored by vocab_bytes, read from fh's position to the end."""
+    base = fh.tell()  # error offsets count from the start of the file
+    data = fh.read()
+    end = len(data)
     vocab = []
+    pos = 0
     for _ in range(count):
-        if offset + 4 > len(data):
-            raise DataError(f"{source}: truncated vocabulary length at offset {offset}")
-        (length,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        if offset + length > len(data):
+        if pos + 4 > end:
+            raise DataError(
+                f"{source}: truncated vocabulary length at offset {base + pos}"
+            )
+        (length,) = _U32.unpack_from(data, pos)
+        pos += 4
+        if pos + length > end:
             raise DataError(
                 f"{source}: truncated vocabulary entry: expected {length} bytes "
-                f"at offset {offset}, got {len(data) - offset}"
+                f"at offset {base + pos}, got {end - pos}"
             )
         try:
-            vocab.append(data[offset:offset + length].decode("utf-8"))
+            vocab.append(data[pos:pos + length].decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise DataError(
-                f"{source}: vocabulary entry at offset {offset} is not UTF-8: "
+                f"{source}: vocabulary entry at offset {base + pos} is not UTF-8: "
                 f"{exc.reason}"
             ) from exc
-        offset += length
-    return vocab, offset
+        pos += length
+    return vocab

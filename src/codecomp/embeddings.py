@@ -17,6 +17,16 @@ log = logging.getLogger("codecomp.embeddings")
 
 MATRIX_MAGIC = b"DEM1"
 
+# Rows per block of every pass over the whole vocabulary (decode, export,
+# code packing, finiteness checks, reports): a block's temporaries stay a
+# small fraction of the matrix however large the vocabulary is.
+BLOCK_ROWS = 512
+
+
+def row_blocks(n):
+    """Slices that cover rows 0..n-1 in order, BLOCK_ROWS rows each."""
+    return [slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS)]
+
 
 @dataclass
 class EmbeddingMatrix:
@@ -34,7 +44,8 @@ class EmbeddingMatrix:
                 f"vocabulary has {len(self.vocab)} words but matrix has "
                 f"{self.matrix.shape[0]} rows"
             )
-        if len(set(self.vocab)) != len(self.vocab):
+        # dict.fromkeys, not set: its table is about a quarter of a set's.
+        if len(dict.fromkeys(self.vocab)) != len(self.vocab):
             raise DataError("vocabulary contains duplicate words")
 
     @property
@@ -55,13 +66,14 @@ class EmbeddingMatrix:
 
     def require_finite(self, consumer):
         """DataError naming the first word with a NaN or infinite value, if any."""
-        finite = np.isfinite(self.matrix).all(axis=1)
-        if not finite.all():
-            row = int(finite.argmin())
-            raise DataError(
-                f"word {self.vocab[row]!r} (row {row}) has a non-finite value; "
-                f"{consumer} needs finite embeddings"
-            )
+        for rows in row_blocks(self.vocab_size):
+            finite = np.isfinite(self.matrix[rows]).all(axis=1)
+            if not finite.all():
+                row = rows.start + int(finite.argmin())
+                raise DataError(
+                    f"word {self.vocab[row]!r} (row {row}) has a non-finite value; "
+                    f"{consumer} needs finite embeddings"
+                )
 
 
 def read_text_embeddings(path, limit=None):
@@ -143,8 +155,7 @@ def write_binary_matrix(emb, path):
 
 def read_binary_matrix(path):
     with open(path, "rb") as fh:
-        data = fh.read()
-    (vocab_size, dim), offset = container.read_header(data, MATRIX_MAGIC, 2, path)
-    matrix, offset = container.read_array(data, offset, (vocab_size, dim), path)
-    vocab, _ = container.read_vocab(data, offset, vocab_size, path)
+        vocab_size, dim = container.read_header(fh, MATRIX_MAGIC, 2, path)
+        matrix = container.read_array(fh, (vocab_size, dim), path)
+        vocab = container.read_vocab(fh, vocab_size, path)
     return EmbeddingMatrix(vocab=vocab, matrix=matrix)

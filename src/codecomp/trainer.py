@@ -164,15 +164,16 @@ def save_checkpoint(path, params, iteration):
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, scheme, iteration)."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    (m, k, h), offset = container.read_header(data, CHECKPOINT_MAGIC, 3, path)
-    check_header(path, m, k, h)
-    cfg = SchemeConfig(M=m, K=k, H=h)
-    flat, offset = container.read_array(data, offset, (ModelParams.size(cfg),), path)
-    if offset + 8 > len(data):
+        m, k, h = container.read_header(fh, CHECKPOINT_MAGIC, 3, path)
+        check_header(path, m, k, h)
+        cfg = SchemeConfig(M=m, K=k, H=h)
+        flat = container.read_array(fh, (ModelParams.size(cfg),), path)
+        offset = fh.tell()
+        tail = fh.read(8)
+    if len(tail) < 8:
         raise DataError(
             f"{path}: truncated checkpoint: missing iteration counter "
             f"at offset {offset}"
         )
-    (iteration,) = struct.unpack_from("<Q", data, offset)
+    (iteration,) = struct.unpack("<Q", tail)
     return ModelParams(cfg, flat), cfg, iteration

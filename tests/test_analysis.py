@@ -163,9 +163,46 @@ class TestSharedGroups:
         singles = sum(1 for v in brute.values() if len(v) == 1)
         assert shared_words + singles == 60
 
+    def test_equal_size_groups_keep_first_occurrence_and_word_order(self):
+        # Three groups of two and two groups of three, interleaved: sizes
+        # descend, ties go to the group seen first, words stay in order.
+        values = np.array([[2, 1], [0, 3], [1, 1], [0, 3], [3, 3], [2, 1],
+                           [1, 1], [3, 3], [0, 2], [3, 3], [0, 2], [1, 1]])
+        codes = CodeMatrix(2, 4, values)
+        vocab = [f"w{i}" for i in range(len(values))]
+        assert shared_code_groups(codes, vocab) == [
+            ((1, 1), ["w2", "w6", "w11"]),
+            ((3, 3), ["w4", "w7", "w9"]),
+            ((2, 1), ["w0", "w5"]),
+            ((0, 3), ["w1", "w3"]),
+            ((0, 2), ["w8", "w10"]),
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_grouping_word_by_word(self, data):
+        m_books = data.draw(st.integers(1, 3))
+        k_words = data.draw(st.sampled_from([2, 4]))
+        rows = data.draw(st.lists(st.lists(st.integers(0, k_words - 1),
+                                           min_size=m_books, max_size=m_books),
+                                  max_size=40))
+        values = np.array(rows, dtype=np.int64).reshape(len(rows), m_books)
+        vocab = [f"w{i}" for i in range(len(rows))]
+        groups = {}
+        for idx, row in enumerate(values):
+            groups.setdefault(tuple(int(c) for c in row), []).append(idx)
+        want = [(code, [vocab[i] for i in idxs]) for code, idxs in groups.items()
+                if len(idxs) >= 2]
+        want.sort(key=lambda item: (-len(item[1]), vocab.index(item[1][0])))
+        assert shared_code_groups(CodeMatrix(m_books, k_words, values), vocab) == want
+
+    def test_empty_vocab(self):
+        codes = CodeMatrix(2, 4, np.zeros((0, 2), dtype=np.int64))
+        assert shared_code_groups(codes, []) == []
+
     def test_vocab_mismatch(self):
         codes = CodeMatrix(2, 4, np.zeros((3, 2), dtype=np.int64))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^vocabulary has 2 words but codes cover 3$"):
             shared_code_groups(codes, ["a", "b"])
 
 

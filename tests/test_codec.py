@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from codecomp import codec, model, tensor
+from codecomp import model, tensor
 from codecomp.codec import (
     CodeMatrix,
     Codebooks,
@@ -14,7 +14,7 @@ from codecomp.codec import (
     write_code_file,
     write_codebook_file,
 )
-from codecomp.embeddings import EmbeddingMatrix
+from codecomp.embeddings import BLOCK_ROWS, EmbeddingMatrix
 from codecomp.errors import ConfigError, DataError
 from codecomp.model import SchemeConfig
 
@@ -83,7 +83,7 @@ class TestExport:
     def test_chunked_export_matches_whole_matrix_math(self):
         cfg = SchemeConfig(M=2, K=4, H=4)
         params = model.init_params(cfg, tensor.new_rng(3))
-        emb = make_embeddings(codec._EXPORT_CHUNK + 100, 4, seed=7)
+        emb = make_embeddings(BLOCK_ROWS + 100, 4, seed=7)
         codes, _ = export_codes(params, emb)
         h = np.tanh(emb.matrix.astype(np.float64) @ params.theta + params.b)
         raw = h @ params.theta_prime + params.b_prime
@@ -253,7 +253,7 @@ class TestCodeFile:
 
     def test_vocab_length_mismatch(self, tmp_path):
         codes = CodeMatrix(2, 4, np.array([[1, 2]]))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^vocabulary has 2 words but codes cover 1$"):
             write_code_file(tmp_path / "codes.bin", codes, ["a", "b"])
 
     def test_truncated_vocab(self, tmp_path):
