@@ -9,6 +9,7 @@ for data errors, 4 for numeric failures.
 """
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -207,7 +208,15 @@ def _add_common_flags(parser, formats=("text", "kv")):
     return parser
 
 
+@functools.cache
 def build_parser():
+    """The codecomp argument parser, built on first use and then shared.
+
+    Parsing mutates no parser state: each call returns a fresh Namespace,
+    and every default is an immutable value or a cmd_* function. So
+    in-process callers of main build the tree once; callers must not
+    change the returned parser.
+    """
     common = _add_common_flags(argparse.ArgumentParser(add_help=False))
     # What _load_recon reads: the original and one reconstruction source.
     compare = argparse.ArgumentParser(add_help=False)

@@ -23,7 +23,11 @@ BOOK_MAGIC = b"DCB1"
 
 
 class CodeMatrix:
-    """Per-word discrete codes: a vocab_size x M integer matrix."""
+    """Per-word discrete codes: a vocab_size x M integer matrix.
+
+    An int32 array is taken over, not copied: the caller hands it over and
+    must not write to it afterwards. Any other integer array is converted.
+    """
 
     def __init__(self, M, K, codes):
         M, K = int(M), int(K)
@@ -38,7 +42,7 @@ class CodeMatrix:
             )
         self.M = M
         self.K = K
-        self.codes = codes.astype(np.int32)
+        self.codes = codes.astype(np.int32, copy=False)
 
     @property
     def vocab_size(self):

@@ -169,9 +169,11 @@ class ForwardTrace:
 
 @dataclass
 class AdamState:
-    """Adam moments and scratch, flat like ModelParams.flat. Single-writer.
+    """Adam moments, flat like ModelParams.flat, and one block of scratch.
 
     m and v are unscaled: Kingma & Ba's moments over (1 - beta1), (1 - beta2).
+    work holds min(ADAM_BLOCK, size) elements, reused by every block.
+    Single-writer.
     """
 
     m: np.ndarray
@@ -182,11 +184,12 @@ class AdamState:
 
 
 def new_adam_state(params, lr):
-    """Zeroed moments and a scratch buffer, in the parameter dtype."""
+    """Zeroed moments and a one-block scratch buffer, in the parameter dtype."""
+    flat = params.flat
     return AdamState(
-        m=np.zeros_like(params.flat),
-        v=np.zeros_like(params.flat),
-        work=np.empty_like(params.flat),
+        m=np.zeros_like(flat),
+        v=np.zeros_like(flat),
+        work=np.empty(min(ADAM_BLOCK, flat.size), dtype=flat.dtype),
         lr=lr,
     )
 
@@ -393,7 +396,7 @@ def adam_step(params, grads, state):
     for start in range(0, flat.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
         p, g = flat[block], grads.flat[block]
-        m, v, work = state.m[block], state.v[block], state.work[block]
+        m, v, work = state.m[block], state.v[block], state.work[:p.size]
         m *= ADAM_BETA1
         m += g
         v *= ADAM_BETA2

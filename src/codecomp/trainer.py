@@ -137,7 +137,7 @@ def train(emb, tc):
         report.val_loss_history.append((it, val_loss))
         log.info("iteration %d: validation loss %.6f", it, val_loss)
         if val_loss < report.best_val_loss:
-            best_params = params.copy()
+            np.copyto(best_params.flat, params.flat)
             report.best_val_loss = val_loss
             report.best_iteration = it
 

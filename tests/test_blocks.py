@@ -9,6 +9,7 @@ which counts numpy's buffers, of one call on a 20K x 300 synthetic matrix
 before tracing starts, so the peak is what the call allocates.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -76,6 +77,23 @@ def test_read_binary_matrix_holds_its_payload_once(big, tmp_path):
     write_binary_matrix(emb, tmp_path / "emb.bin")
     peak = traced_peak(read_binary_matrix, tmp_path / "emb.bin")
     assert peak <= 1.1 * emb.matrix.nbytes, peak / emb.matrix.nbytes
+
+
+def test_read_code_file_holds_its_codes_once(big, tmp_path):
+    emb, codes, _, _ = big
+    path = tmp_path / "codes.bin"
+    codec.write_code_file(path, codes, emb.vocab)
+    vocab_bytes = sys.getsizeof(emb.vocab) + sum(map(sys.getsizeof, emb.vocab))
+    # Unpacking holds the packed bytes (0.16x the int32 codes) and one
+    # block's bit planes beside the codes; a second copy of the codes
+    # would take it past 2x.
+    with open(path, "rb") as fh:
+        peak = traced_peak(codec.unpack_codes, fh)
+    assert peak <= 1.6 * codes.codes.nbytes, peak / codes.codes.nbytes
+    # The whole read: the codes once, the vocabulary list and the file's
+    # vocabulary bytes.
+    peak = traced_peak(codec.read_code_file, path)
+    assert peak <= 1.25 * codes.codes.nbytes + vocab_bytes, peak / codes.codes.nbytes
 
 
 # Bits: each blocked pass against its whole-matrix reference.

@@ -1,3 +1,4 @@
+import argparse
 import os
 import struct
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import codecomp
 from codecomp import codec, container, model, tensor, trainer
-from codecomp.cli import format_pairs, main
+from codecomp.cli import build_parser, format_pairs, main
 from codecomp.embeddings import (
     EmbeddingMatrix,
     read_binary_matrix,
@@ -574,6 +575,91 @@ def test_codecomp_environment_is_ignored(emb_file, capsys, monkeypatch):
     assert main(["pq", "--emb", str(emb_file), "--M", "2", "--K", "4",
                  "--format", "kv", "--quiet"]) == 0
     assert kv(capsys.readouterr().out)["seed"] == "0"
+
+
+def run_module(argv):
+    """codecomp in a fresh interpreter: its first and only parser."""
+    src = str(Path(codecomp.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "codecomp", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestSharedParser:
+    """main builds its parser once per process; later calls behave as the first."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        # Help and usage wrap at the terminal width; pin it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.fixture
+    def code_files(self, tmp_path):
+        rng = tensor.new_rng(21)
+        codes_path, books_path = tmp_path / "codes.bin", tmp_path / "books.bin"
+        codec.write_code_file(codes_path,
+                              codec.CodeMatrix(2, 4, rng.integers(0, 4, size=(30, 2))),
+                              [f"w{i}" for i in range(30)])
+        codec.write_codebook_file(books_path, codec.Codebooks(
+            2, 4, 5, rng.standard_normal((8, 5)).astype(np.float32)))
+        return codes_path, books_path
+
+    def test_later_calls_match_a_first_call(self, emb_file, tmp_path, code_files,
+                                            capsys, monkeypatch):
+        bad = ["size", "--M", "2", "--K", "4", "--vocab", "3", "--bogus"]
+        first = run_module(bad)
+        assert first.returncode == 2
+        build_parser()  # the shared parser exists before any call below
+        assert main(bad) == 2
+        assert capsys.readouterr().err == first.stderr
+
+        assert main(["--help"]) == 0
+        assert "train" in capsys.readouterr().out
+
+        seen = []
+        real_train = trainer.train
+
+        def recording_train(emb, tc):
+            seen.append(emb.vocab_size)
+            return real_train(emb, tc)
+
+        monkeypatch.setattr(trainer, "train", recording_train)
+        argv = ["train", "--emb", str(emb_file), "--M", "2", "--K", "4",
+                "--iters", "0", "--quiet", "--out", str(tmp_path / "m.ckpt")]
+        assert main([*argv, "--limit", "25"]) == 0
+        assert main(argv) == 0
+        assert build_parser().parse_args(argv).limit is None
+        assert seen == [25, 60]
+
+        codes_path, books_path = code_files
+        outs = [tmp_path / "fresh.txt", tmp_path / "shared.txt"]
+        recon = ["reconstruct", "--codes", str(codes_path), "--books", str(books_path),
+                 "--format", "kv", "--quiet", "--out"]
+        fresh = run_module([*recon, str(outs[0])])
+        assert fresh.returncode == 0
+        capsys.readouterr()
+        assert main([*recon, str(outs[1])]) == 0
+        assert capsys.readouterr().out == fresh.stdout
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_no_parser_is_built_after_the_first_call(self, capsys, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        argv = ["size", "--M", "8", "--K", "16", "--vocab", "10", "--format", "kv"]
+        assert main(argv) == 0
+        assert built  # the first call builds the tree
+        built.clear()
+        for call in (argv, ["size", "--M", "8"], ["--help"], argv):
+            main(call)
+        assert built == []
 
 
 class TestFormatPairs:

@@ -366,6 +366,15 @@ class TestAdam:
         for saved, live in zip(buffers, (params.flat, state.m, state.v, state.work)):
             assert live is saved
 
+    def test_scratch_is_one_block(self):
+        small = model.init_params(SchemeConfig(M=2, K=4, H=3), tensor.new_rng(0))
+        assert model.new_adam_state(small, lr=0.1).work.size == small.flat.size
+        paper = model.init_params(SchemeConfig(M=16, K=32, H=300), tensor.new_rng(0))
+        state = model.new_adam_state(paper, lr=0.1)
+        assert paper.flat.size > model.ADAM_BLOCK
+        assert state.work.size == model.ADAM_BLOCK
+        assert state.m.size == state.v.size == paper.flat.size
+
     def test_float32_tracks_float64_shadow(self):
         # Tolerance fixed from the dtype: each float32 step rounds a
         # parameter with |p| < 4 by at most half a float32 spacing at 4.
