@@ -16,7 +16,12 @@ from .errors import ConfigError
 from .model import check_scheme
 from .tensor import new_rng
 
-_OVERLAP_CHUNK = 256
+# nn-overlap scores this many queries per similarity block and ranks them
+# _RANK_ROWS at a time, so the block (float64) and argpartition's indices
+# (int64) stay at about 128 + 32 rows of V. Larger blocks pass over the
+# unit-row copy fewer times.
+_OVERLAP_CHUNK = 128
+_RANK_ROWS = 32
 _EPS = np.finfo(np.float64).eps
 
 
@@ -278,12 +283,34 @@ def _check_pair(original, recon, consumer):
     recon.require_finite(consumer)
 
 
+def _top_neighbors(matrix, queries, k):
+    """Each query's k nearest rows by cosine, itself excluded, in no order.
+
+    Queries are scored against a float64 unit-row copy of the matrix, which
+    is freed on return. A row's similarities and argpartition do not depend
+    on the block it falls in, so neither does its result.
+    """
+    x = _normalize_rows(matrix)
+    top = np.empty((len(queries), k), dtype=np.intp)
+    # One similarity buffer for every block: each block overwrites the last.
+    sims = np.empty((min(_OVERLAP_CHUNK, len(queries)), len(x)))
+    for start in range(0, len(queries), _OVERLAP_CHUNK):
+        rows = queries[start:start + _OVERLAP_CHUNK]
+        block = np.matmul(x[rows], x.T, out=sims[:len(rows)])
+        block[np.arange(len(rows)), rows] = -np.inf  # exclude self before ranking
+        for i in range(0, len(rows), _RANK_ROWS):
+            part = block[i:i + _RANK_ROWS]
+            top[start + i:start + i + len(part)] = np.argpartition(part, -k, axis=1)[:, -k:]
+    return top
+
+
 def neighbor_overlap(original, recon, k, sample, seed=0):
     """Mean fraction of shared top-k cosine neighbors over sampled queries.
 
     Exact brute-force neighbors, excluding the query itself. Queries are
-    drawn without replacement from a seeded generator. Queries are scored
-    in chunks of 256, so each similarity block is at most 256 x V.
+    drawn without replacement from a seeded generator. The matrices are
+    ranked one after the other, so only one float64 unit-row copy (2x the
+    float32 matrix) and one block of similarities exist at a time.
     """
     _check_pair(original, recon, "neighbor overlap")
     vocab_size = original.vocab_size
@@ -293,20 +320,9 @@ def neighbor_overlap(original, recon, k, sample, seed=0):
         raise ConfigError(f"k must be >= 1, got {k}")
     rng = new_rng(seed)
     queries = rng.choice(vocab_size, size=min(sample, vocab_size), replace=False)
-    x_orig = _normalize_rows(original.matrix)
-    x_recon = _normalize_rows(recon.matrix)
-
-    def topk(sims, rows):
-        sims[np.arange(len(rows)), rows] = -np.inf  # exclude self before ranking
-        # A copy, so the chunk-wide argpartition is freed before the next one.
-        return np.argpartition(sims, -k, axis=1)[:, -k:].copy()
-
-    shared = []
-    for start in range(0, len(queries), _OVERLAP_CHUNK):
-        rows = queries[start:start + _OVERLAP_CHUNK]
-        top_o = topk(x_orig[rows] @ x_orig.T, rows)
-        top_r = topk(x_recon[rows] @ x_recon.T, rows)
-        shared += [len(set(a.tolist()) & set(b.tolist())) for a, b in zip(top_o, top_r)]
+    top_o = _top_neighbors(original.matrix, queries, k)
+    top_r = _top_neighbors(recon.matrix, queries, k)
+    shared = [len(set(a.tolist()) & set(b.tolist())) for a, b in zip(top_o, top_r)]
     # Counts are small integers, so their float64 sum is exact.
     return float(np.mean(shared) / k) if shared else 0.0
 

@@ -7,6 +7,7 @@ codes address words by position.
 
 import logging
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -80,53 +81,60 @@ def read_text_embeddings(path, limit=None):
     """Parse a text embedding file, preserving order.
 
     The first whitespace-separated field of each line is the word; the rest
-    are its vector. With limit set only the first `limit` data lines are
-    read. A repeated word keeps its first occurrence and logs a warning.
-    Blank lines are skipped.
+    are its vector. Fields are split as str.split() splits them, and blank
+    or whitespace-only lines are skipped. With limit set only the first
+    `limit` data lines are read, repeated words included. A repeated word
+    keeps its first occurrence and logs a warning; its values are still
+    parsed, so a bad one raises.
+
+    Each value is parsed with Python's float and rounded to float32 as its
+    line is stored, into one buffer that grows in place: the matrix is
+    never held twice, nor as Python floats.
     """
-    vocab = []
-    seen = {}
-    rows = []
+    words = {}  # an ordered set: the vocabulary so far
+    matrix = np.empty((0, 0), dtype=np.float32)
     dim = None
     consumed = 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
+                fields = line.split()
+                if not fields:
                     continue
                 if limit is not None and consumed >= limit:
                     break
                 consumed += 1
-                parts = line.split()
-                word, fields = parts[0], parts[1:]
                 if dim is None:
-                    dim = len(fields)
+                    dim = len(fields) - 1
                     if dim == 0:
                         raise DataError(f"{path}: line {lineno}: no vector values")
-                elif len(fields) != dim:
+                    matrix = np.empty((BLOCK_ROWS, dim), dtype=np.float32)
+                elif len(fields) - 1 != dim:
                     raise DataError(
                         f"{path}: line {lineno}: expected {dim} values, "
-                        f"got {len(fields)}"
+                        f"got {len(fields) - 1}"
                     )
+                row = len(words)
+                if row == len(matrix):  # full: grow by half, in place where it can
+                    matrix.resize((row + row // 2, dim), refcheck=False)
                 try:
-                    values = [float(f) for f in fields]
+                    matrix[row] = np.fromiter(
+                        map(float, islice(fields, 1, None)), np.float32, count=dim,
+                    )
                 except ValueError as exc:
                     raise DataError(f"{path}: line {lineno}: {exc}") from exc
-                if word in seen:
+                word = fields[0]
+                if word in words:
                     log.warning(
                         "%s: line %d: duplicate word %r, keeping first occurrence",
                         path, lineno, word,
                     )
                     continue
-                seen[word] = True
-                vocab.append(word)
-                rows.append(values)
+                words[word] = None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    if dim is None:
-        dim = 0
-    matrix = np.asarray(rows, dtype=np.float32).reshape(len(vocab), dim)
-    return EmbeddingMatrix(vocab=vocab, matrix=matrix)
+    matrix.resize((len(words), dim or 0), refcheck=False)
+    return EmbeddingMatrix(vocab=list(words), matrix=matrix)
 
 
 def write_text_embeddings(emb, path):

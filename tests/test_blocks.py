@@ -1,26 +1,34 @@
 """Whole-vocabulary passes run in row blocks: the same bits, bounded memory.
 
 Decode, export, code packing and unpacking, finiteness checks and the
-reports walk the vocabulary BLOCK_ROWS rows at a time. The bit tests
-compare each with a whole-matrix reference at vocabulary sizes that are
-not a multiple of BLOCK_ROWS. The memory tests take the tracemalloc peak,
-which counts numpy's buffers, of one call on a 20K x 300 synthetic matrix
-(24 MB as float32), as a multiple of that matrix's bytes; the inputs exist
-before tracing starts, so the peak is what the call allocates.
+reports walk the vocabulary BLOCK_ROWS rows at a time; nn-overlap ranks
+its queries in blocks too. The bit tests compare each with a whole-matrix
+reference at vocabulary sizes that are not a multiple of BLOCK_ROWS. The
+memory tests take the tracemalloc peak, which counts numpy's buffers, of
+one call on a 20K x 300 synthetic matrix (24 MB as float32), or on a 5K x
+300 text file of its first rows, as a multiple of that matrix's bytes; the
+inputs exist before tracing starts, so the peak is what the call
+allocates.
 """
 
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import codecomp
 from codecomp import analysis, codec, model, tensor
 from codecomp.embeddings import (
     BLOCK_ROWS,
     EmbeddingMatrix,
     read_binary_matrix,
+    read_text_embeddings,
     write_binary_matrix,
+    write_text_embeddings,
 )
 from codecomp.errors import DataError
 from codecomp.synthetic import synthetic_embeddings
@@ -45,6 +53,10 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def vocab_bytes(vocab):
+    return sys.getsizeof(vocab) + sum(map(sys.getsizeof, vocab))
 
 
 def same_bits(a, b):
@@ -83,7 +95,6 @@ def test_read_code_file_holds_its_codes_once(big, tmp_path):
     emb, codes, _, _ = big
     path = tmp_path / "codes.bin"
     codec.write_code_file(path, codes, emb.vocab)
-    vocab_bytes = sys.getsizeof(emb.vocab) + sum(map(sys.getsizeof, emb.vocab))
     # Unpacking holds the packed bytes (0.16x the int32 codes) and one
     # block's bit planes beside the codes; a second copy of the codes
     # would take it past 2x.
@@ -93,7 +104,68 @@ def test_read_code_file_holds_its_codes_once(big, tmp_path):
     # The whole read: the codes once, the vocabulary list and the file's
     # vocabulary bytes.
     peak = traced_peak(codec.read_code_file, path)
-    assert peak <= 1.25 * codes.codes.nbytes + vocab_bytes, peak / codes.codes.nbytes
+    assert peak <= 1.25 * codes.codes.nbytes + vocab_bytes(emb.vocab), \
+        peak / codes.codes.nbytes
+
+
+TEXT_VOCAB = 5_000
+
+
+@pytest.fixture(scope="module")
+def text_file(big, tmp_path_factory):
+    """The first TEXT_VOCAB words of the big fixture as a text file."""
+    emb = big[0]
+    emb = EmbeddingMatrix(vocab=emb.vocab[:TEXT_VOCAB], matrix=emb.matrix[:TEXT_VOCAB])
+    path = tmp_path_factory.mktemp("text") / "emb.txt"
+    write_text_embeddings(emb, path)
+    return emb, path
+
+
+def test_read_text_embeddings_holds_its_matrix_once(text_file):
+    # The float32 buffer grows by half when full, so it may hold up to
+    # 1.5x the rows before the final trim; per-line temporaries are small.
+    emb, path = text_file
+    peak = traced_peak(read_text_embeddings, path)
+    assert peak <= 2.0 * emb.matrix.nbytes + vocab_bytes(emb.vocab), \
+        peak / emb.matrix.nbytes
+
+
+def test_neighbor_overlap_peak(big):
+    # One float64 unit-row copy (2x), one block of similarities (0.85x) and
+    # one argpartition's indices (0.21x) at a time.
+    emb, codes, books, _ = big
+    recon = codec.reconstruct_all(codes, books, emb.vocab)
+    peak = traced_peak(analysis.neighbor_overlap, emb, recon, 10, 200)
+    assert peak <= 3.25 * emb.matrix.nbytes, peak / emb.matrix.nbytes
+
+
+RSS_SCRIPT = """
+import resource, sys
+from codecomp import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = cli.main(["stats", "--emb", sys.argv[1], "--recon", sys.argv[1], "--quiet"])
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, before, after)
+"""
+
+
+def test_text_stats_rss_in_a_fresh_interpreter(text_file):
+    """tracemalloc misses what the allocator keeps; ru_maxrss does not.
+
+    `stats` reads the text file twice, so it holds two matrices; the bound
+    leaves two more for the readers' buffers and the report.
+    """
+    emb, path = text_file
+    src = str(Path(codecomp.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", RSS_SCRIPT, str(path)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    code, before, after = map(int, run.stdout.split()[-3:])
+    assert code == 0
+    grown = (after - before) * 1024  # ru_maxrss is in KiB on Linux
+    assert grown <= 4 * emb.matrix.nbytes, grown / emb.matrix.nbytes
 
 
 # Bits: each blocked pass against its whole-matrix reference.
@@ -171,6 +243,42 @@ def test_report_equals_whole_matrix_formulas_bit_for_bit():
     got = analysis.reconstruction_report(original, recon)
     want = whole_matrix_report(original, recon)
     assert {key: got[key] for key in want} == want
+
+
+def one_block_overlap(original, recon, k, sample, seed=0):
+    """Reference: every query scored against each matrix in one block."""
+    vocab_size = original.vocab_size
+    queries = tensor.new_rng(seed).choice(vocab_size, size=min(sample, vocab_size),
+                                          replace=False)
+    tops = []
+    for emb in (original, recon):
+        x = emb.matrix.astype(np.float64)
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        x = np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
+        sims = x[queries] @ x.T
+        sims[np.arange(len(queries)), queries] = -np.inf
+        tops.append(np.argpartition(sims, -k, axis=1)[:, -k:])
+    shared = [len(set(a.tolist()) & set(b.tolist())) for a, b in zip(*tops)]
+    return float(np.mean(shared) / k)
+
+
+def test_neighbor_overlap_equals_one_block_reference(big):
+    emb, codes, books, _ = big
+    recon = codec.reconstruct_all(codes, books, emb.vocab)
+    sample = 2 * analysis._OVERLAP_CHUNK + 44  # a last block that is not full
+    assert analysis.neighbor_overlap(emb, recon, 10, sample, seed=3) == \
+        one_block_overlap(emb, recon, 10, sample, seed=3)
+
+
+def test_neighbor_overlap_equals_one_block_reference_with_ties():
+    # 16 codes over 3,000 words: the reconstruction's rows repeat, so its
+    # similarities tie exactly and argpartition picks among equals.
+    emb, codes, books = synthetic_embeddings(M=2, K=4, H=16, vocab_size=3000,
+                                             noise_std=0.05, seed=4)
+    recon = codec.reconstruct_all(codes, books, emb.vocab)
+    for k, sample in [(5, 300), (40, 1000)]:
+        got = analysis.neighbor_overlap(emb, recon, k, sample, seed=1)
+        assert got == one_block_overlap(emb, recon, k, sample, seed=1)
 
 
 def test_normalized_rows_equal_whole_matrix_division_and_keep_zero_rows():

@@ -1,7 +1,12 @@
 import logging
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from codecomp import tensor
 from codecomp.embeddings import (
@@ -112,6 +117,147 @@ class TestTextFormat:
         path.write_text("")
         emb = read_text_embeddings(path)
         assert emb.vocab_size == 0
+        assert emb.matrix.shape == (0, 0)
+        assert emb.matrix.dtype == np.float32
+
+    def test_whitespace_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"\n  \t\n\r\n")
+        assert read_text_embeddings(path).matrix.shape == (0, 0)
+
+    def test_bad_value_on_duplicate_line_names_its_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1 2\nb 3 4\na 5 oops\n")
+        with pytest.raises(DataError, match=r"line 3: .*'oops'"):
+            read_text_embeddings(path)
+
+    def test_limit_counts_duplicate_lines(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1\n\na 2\nb 3\n")
+        emb = read_text_embeddings(path, limit=2)
+        assert emb.vocab == ["a"]
+        assert emb.matrix.tolist() == [[1.0]]
+
+    def test_not_utf8_is_data_error(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1.0 2.0\n\xff 3.0 4.0\n")
+        with pytest.raises(DataError, match="not UTF-8"):
+            read_text_embeddings(path)
+
+
+def list_reader(path, limit=None):
+    """Reference reader: each line's values as a list of Python floats, and
+    one conversion of all the lists to float32 at the end."""
+    vocab = []
+    seen = {}
+    rows = []
+    dim = None
+    consumed = 0
+    log = logging.getLogger("codecomp.embeddings")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                if limit is not None and consumed >= limit:
+                    break
+                consumed += 1
+                parts = line.split()
+                word, fields = parts[0], parts[1:]
+                if dim is None:
+                    dim = len(fields)
+                    if dim == 0:
+                        raise DataError(f"{path}: line {lineno}: no vector values")
+                elif len(fields) != dim:
+                    raise DataError(
+                        f"{path}: line {lineno}: expected {dim} values, "
+                        f"got {len(fields)}"
+                    )
+                try:
+                    values = [float(f) for f in fields]
+                except ValueError as exc:
+                    raise DataError(f"{path}: line {lineno}: {exc}") from exc
+                if word in seen:
+                    log.warning(
+                        "%s: line %d: duplicate word %r, keeping first occurrence",
+                        path, lineno, word,
+                    )
+                    continue
+                seen[word] = True
+                vocab.append(word)
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if dim is None:
+        dim = 0
+    matrix = np.asarray(rows, dtype=np.float32).reshape(len(vocab), dim)
+    return EmbeddingMatrix(vocab=vocab, matrix=matrix)
+
+
+def outcome(reader, path, limit):
+    """(words, matrix bits, shape, warnings) or the DataError's text."""
+    logger = logging.getLogger("codecomp.embeddings")
+    with mock.patch.object(logger, "warning") as warn, np.errstate(over="ignore"):
+        try:
+            emb = reader(path, limit=limit)
+        except DataError as exc:
+            return "error", str(exc), warn.call_args_list
+    bits = emb.matrix.view(np.uint32).tolist()
+    return emb.vocab, bits, emb.matrix.shape, warn.call_args_list
+
+
+VALUES = st.one_of(
+    st.floats(width=32, allow_nan=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["nan", "-inf", "1e39", "-1e-50", "1_5", "+.5", "7"]),
+)
+BAD_VALUES = st.sampled_from(["0x1p3", "x", "1e", "--1"])
+SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t ", "\x0b", "\u3000"])
+
+
+@st.composite
+def text_files(draw):
+    """Random text embedding files and a limit: blank and whitespace-only
+    lines, tabs and runs of spaces, CRLF endings, duplicate words, and the
+    odd bad value or ragged line."""
+    dim = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["blank"] * 2 + ["bad", "ragged"]))
+        if kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t", "  \t "]))
+        else:
+            width = draw(st.integers(0, dim + 1)) if kind == "ragged" else dim
+            values = draw(st.lists(VALUES, min_size=width, max_size=width))
+            if kind == "bad":
+                values[draw(st.integers(0, dim - 1))] = draw(BAD_VALUES)
+            word = draw(st.sampled_from(["a", "b", "c", "d", "été"]))
+            line = draw(SEPARATORS).join([word, *values])
+            line = draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " "]))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    limit = draw(st.none() | st.integers(0, len(lines) + 1))
+    return "".join(lines), limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(text_files())
+def test_reader_equals_list_reference(case):
+    text, limit = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "emb.txt"
+        path.write_bytes(text.encode())
+        assert outcome(read_text_embeddings, path, limit) == \
+            outcome(list_reader, path, limit)
+
+
+def test_reader_equals_list_reference_on_a_wide_file(tmp_path):
+    emb, _, _ = synthetic_embeddings(M=4, K=8, H=300, vocab_size=700,
+                                     noise_std=0.5, seed=3)
+    path = tmp_path / "emb.txt"
+    write_text_embeddings(emb, path)
+    with path.open("a") as fh:
+        fh.write("w5 " + " ".join(["1.0"] * 300) + "\n")  # a duplicate
+    assert outcome(read_text_embeddings, path, None) == outcome(list_reader, path, None)
 
 
 class TestBinaryFormat:
