@@ -206,7 +206,8 @@ def _kmeans_block(block, K, iterations, rng):
             counts[empty] += 1
         # Bit for bit block[assign == k].mean(axis=0): the stable sort keeps
         # each cluster's rows in index order, and mean is add.reduce over
-        # them divided by the count.
+        # them divided by the count. np.add.reduceat adds each run in another
+        # order, so its float64 centroids differ in the last bits.
         grouped = block[np.argsort(assign, kind="stable")]
         ends = np.cumsum(counts)
         filled = np.flatnonzero(counts)
@@ -268,7 +269,7 @@ def _normalize_rows(matrix):
     vocabulary-sized array made.
     """
     x = matrix.astype(np.float64)
-    for rows in row_blocks(len(x)):
+    for rows in row_blocks(len(x), x.shape[1]):
         block = x[rows]
         norms = np.linalg.norm(block, axis=1, keepdims=True)
         np.divide(block, norms, out=block, where=norms > 0)
@@ -343,7 +344,7 @@ def reconstruction_report(original, recon):
     vocab_size = original.vocab_size
     sq_err, dot, na, nb = np.empty((4, vocab_size))
     max_abs = 0.0
-    for rows in row_blocks(vocab_size):
+    for rows in row_blocks(vocab_size, original.dim):
         a = original.matrix[rows].astype(np.float64)
         b = recon.matrix[rows].astype(np.float64)
         na[rows] = np.linalg.norm(a, axis=1)

@@ -46,12 +46,7 @@ def _read_embeddings(path, limit=None):
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == embeddings.MATRIX_MAGIC:
-        emb = embeddings.read_binary_matrix(path)
-        if limit is not None:
-            emb = embeddings.EmbeddingMatrix(
-                vocab=emb.vocab[:limit], matrix=emb.matrix[:limit]
-            )
-        return emb
+        return embeddings.read_binary_matrix(path, limit=limit)
     return embeddings.read_text_embeddings(path, limit=limit)
 
 

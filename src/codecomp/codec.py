@@ -97,58 +97,55 @@ def export_codes(params, emb):
     cfg = params.scheme
     emb.require_input("export", cfg.H)
     out = np.empty((emb.vocab_size, cfg.M), dtype=np.int32)
-    for rows in row_blocks(emb.vocab_size):
+    for rows in row_blocks(emb.vocab_size, cfg.H):
         _, alpha = encode(params, emb.matrix[rows])
         out[rows] = assign(alpha)
     books = Codebooks(cfg.M, cfg.K, cfg.H, params.A.copy())
     return CodeMatrix(cfg.M, cfg.K, out), books
 
 
-def codeword_sums(codes, books, rows=slice(None)):
-    """float64 sums of the codewords of the words in rows, codebook 0 first.
+def codeword_sums(codes, books, out):
+    """Each word's codeword sum, rounded into its row of out; returns out.
 
-    The one decoder: reconstruct_all and synthetic_embeddings round it.
-    Each row's sum depends only on its own code, so a block of rows gives
-    the same bits as the same rows of the whole vocabulary.
+    The one decoder. Sums are float64 from +0.0, codebook 0 first, over
+    codebooks widened once; a row's sum depends only on its own code, so
+    the block size does not change its bits.
     """
     if codes.M != books.M or codes.K != books.K:
         raise DataError(
             f"codes are ({codes.M}, {codes.K}) but codebooks are "
             f"({books.M}, {books.K})"
         )
-    block = codes.codes[rows]
-    acc = np.zeros((len(block), books.H), dtype=np.float64)
-    for i in range(books.M):
-        acc += books.vectors[i * books.K + block[:, i]]
-    return acc
+    wide = books.vectors.astype(np.float64)
+    for rows in row_blocks(codes.vocab_size, books.H):
+        block = codes.codes[rows]
+        acc = np.zeros((len(block), books.H))
+        for i in range(books.M):
+            acc += wide[i * books.K + block[:, i]]
+        out[rows] = acc
+    return out
 
 
 def reconstruct_all(codes, books, vocab):
     """Compose every word's embedding from its code; returns an EmbeddingMatrix.
 
     vocab names the words in code order; a code file carries them, codes do
-    not. The float32 output is filled block by block, each block rounded
-    from its codeword_sums, so no vocabulary-sized float64 array exists.
+    not. No vocabulary-sized float64 array exists.
     """
     matrix = np.empty((codes.vocab_size, books.H), dtype=np.float32)
-    for rows in row_blocks(codes.vocab_size):
-        matrix[rows] = codeword_sums(codes, books, rows)
-    return EmbeddingMatrix(vocab=list(vocab), matrix=matrix)
+    return EmbeddingMatrix(vocab=list(vocab), matrix=codeword_sums(codes, books, matrix))
 
 
 def pack_codes(codes):
     """Serialize a CodeMatrix to bytes: header then one padded record per word."""
     bits = bits_per_word(1, codes.K)  # per component
-    shifts = np.arange(bits, dtype=np.int32)
-    pad = codes.bytes_per_word * 8 - codes.M * bits
     packed = np.empty((codes.vocab_size, codes.bytes_per_word), dtype=np.uint8)
-    for rows in row_blocks(codes.vocab_size):
-        # (rows, M, bits) bit planes, LSB first, flattened per word then
-        # padded out to whole bytes.
-        planes = (codes.codes[rows, :, None] >> shifts) & 1
-        flat = planes.reshape(len(planes), codes.M * bits).astype(np.uint8)
-        if pad:
-            flat = np.pad(flat, ((0, 0), (0, pad)))
+    # Bit plane b is every bits-th bit from b, LSB first; bits past M * bits pad.
+    for rows in row_blocks(codes.vocab_size, codes.bytes_per_word + codes.M):
+        block = codes.codes[rows]
+        flat = np.zeros((len(block), codes.bytes_per_word * 8), dtype=np.uint8)
+        for b in range(bits):
+            flat[:, b:codes.M * bits:bits] = (block >> b) & 1
         packed[rows] = np.packbits(flat, axis=1, bitorder="little")
     header = container.header(CODE_MAGIC, codes.M, codes.K, codes.vocab_size)
     return header + packed.tobytes()
@@ -167,12 +164,14 @@ def unpack_codes(data, source="code data"):
     bits = bits_per_word(1, k)  # per component
     shape = (vocab_size, (m * bits + 7) // 8)
     raw = container.read_array(fh, shape, source, dtype=np.uint8)
-    shifts = np.arange(bits, dtype=np.int32)
     values = np.empty((vocab_size, m), dtype=np.int32)
-    for rows in row_blocks(vocab_size):
+    # A row's bits and int32 planes: a float64 per packed byte and per component.
+    for rows in row_blocks(vocab_size, shape[1] + m):
         flat = np.unpackbits(raw[rows], axis=1, bitorder="little")
-        planes = flat[:, : m * bits].reshape(len(flat), m, bits)
-        values[rows] = (planes.astype(np.int32) << shifts).sum(axis=2)
+        block = values[rows]  # bit plane b is every bits-th bit from b: one OR each
+        block[...] = flat[:, 0:m * bits:bits]
+        for b in range(1, bits):
+            block |= flat[:, b:m * bits:bits].astype(np.int32) << b
     return CodeMatrix(m, k, values), fh.tell()
 
 

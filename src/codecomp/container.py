@@ -61,19 +61,22 @@ def floats(array):
     return np.ascontiguousarray(array, dtype="<f4")
 
 
-def read_array(fh, shape, source, dtype="<f4"):
+def read_array(fh, shape, source, dtype="<f4", keep=None):
     """The array of `shape` stored at fh's position, read into a new array.
 
     The payload's size is checked against the bytes left in the file before
     anything is allocated, so a header that claims too much costs nothing.
+    With keep set only the first `keep` rows are read; fh ends past them all.
     """
     offset = fh.tell()
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     got = min(nbytes, fh.seek(0, io.SEEK_END) - offset)
     fh.seek(offset)
     if got == nbytes:
-        array = np.empty(shape, dtype=dtype)
-        got = fh.readinto(array)
+        rows = shape[0] if keep is None else min(keep, shape[0])
+        array = np.empty((rows, *shape[1:]), dtype=dtype)
+        got = fh.readinto(array) + nbytes - array.nbytes  # short if the file shrank
+        fh.seek(offset + nbytes)
     if got < nbytes:
         raise DataError(
             f"{source}: truncated payload: expected {nbytes} bytes at offset "
@@ -91,8 +94,8 @@ def vocab_bytes(vocab):
     return b"".join(parts)
 
 
-def read_vocab(fh, count, source):
-    """count words stored by vocab_bytes, read from fh's position to the end."""
+def read_vocab(fh, count, source, keep=None):
+    """count words stored by vocab_bytes at fh's position; only the first keep decoded."""
     base = fh.tell()  # error offsets count from the start of the file
     data = fh.read()
     end = len(data)
@@ -110,12 +113,13 @@ def read_vocab(fh, count, source):
                 f"{source}: truncated vocabulary entry: expected {length} bytes "
                 f"at offset {base + pos}, got {end - pos}"
             )
-        try:
-            vocab.append(data[pos:pos + length].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise DataError(
-                f"{source}: vocabulary entry at offset {base + pos} is not UTF-8: "
-                f"{exc.reason}"
-            ) from exc
+        if keep is None or len(vocab) < keep:
+            try:
+                vocab.append(data[pos:pos + length].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise DataError(
+                    f"{source}: vocabulary entry at offset {base + pos} is not "
+                    f"UTF-8: {exc.reason}"
+                ) from exc
         pos += length
     return vocab

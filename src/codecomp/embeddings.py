@@ -18,15 +18,16 @@ log = logging.getLogger("codecomp.embeddings")
 
 MATRIX_MAGIC = b"DEM1"
 
-# Rows per block of every pass over the whole vocabulary (decode, export,
-# code packing, finiteness checks, reports): a block's temporaries stay a
-# small fraction of the matrix however large the vocabulary is.
-BLOCK_ROWS = 512
+# Bytes of a float64 block in every pass over the whole vocabulary (decode,
+# export, code packing, finiteness checks, reports): a block's temporaries
+# stay in L2 and a small fraction of the matrix however large it is.
+BLOCK_BYTES = 256 * 1024
 
 
-def row_blocks(n):
-    """Slices that cover rows 0..n-1 in order, BLOCK_ROWS rows each."""
-    return [slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS)]
+def row_blocks(n, width):
+    """Slices that cover rows 0..n-1 in order, each BLOCK_BYTES of float64 `width` wide."""
+    step = max(1, BLOCK_BYTES // (8 * max(1, width)))
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 @dataclass
@@ -67,7 +68,7 @@ class EmbeddingMatrix:
 
     def require_finite(self, consumer):
         """DataError naming the first word with a NaN or infinite value, if any."""
-        for rows in row_blocks(self.vocab_size):
+        for rows in row_blocks(self.vocab_size, self.dim):
             finite = np.isfinite(self.matrix[rows]).all(axis=1)
             if not finite.all():
                 row = rows.start + int(finite.argmin())
@@ -108,7 +109,6 @@ def read_text_embeddings(path, limit=None):
                     dim = len(fields) - 1
                     if dim == 0:
                         raise DataError(f"{path}: line {lineno}: no vector values")
-                    matrix = np.empty((BLOCK_ROWS, dim), dtype=np.float32)
                 elif len(fields) - 1 != dim:
                     raise DataError(
                         f"{path}: line {lineno}: expected {dim} values, "
@@ -116,7 +116,7 @@ def read_text_embeddings(path, limit=None):
                     )
                 row = len(words)
                 if row == len(matrix):  # full: grow by half, in place where it can
-                    matrix.resize((row + row // 2, dim), refcheck=False)
+                    matrix.resize((row + row // 2 + 1, dim), refcheck=False)
                 try:
                     matrix[row] = np.fromiter(
                         map(float, islice(fields, 1, None)), np.float32, count=dim,
@@ -161,9 +161,10 @@ def write_binary_matrix(emb, path):
         fh.write(container.vocab_bytes(emb.vocab))
 
 
-def read_binary_matrix(path):
+def read_binary_matrix(path, limit=None):
+    """A DEM1 file, or its first `limit` rows and words; the rest is still checked."""
     with open(path, "rb") as fh:
         vocab_size, dim = container.read_header(fh, MATRIX_MAGIC, 2, path)
-        matrix = container.read_array(fh, (vocab_size, dim), path)
-        vocab = container.read_vocab(fh, vocab_size, path)
+        matrix = container.read_array(fh, (vocab_size, dim), path, keep=limit)
+        vocab = container.read_vocab(fh, vocab_size, path, keep=limit)
     return EmbeddingMatrix(vocab=vocab, matrix=matrix)

@@ -23,7 +23,7 @@ def synthetic_embeddings(M, K, H, vocab_size, noise_std, seed):
     rng = new_rng(seed)
     books = Codebooks(M, K, H, rng.uniform(-1.0, 1.0, size=(M * K, H)))
     codes = CodeMatrix(M, K, rng.integers(0, K, size=(vocab_size, M)))
-    acc = codeword_sums(codes, books)
+    acc = codeword_sums(codes, books, np.empty((vocab_size, H)))
     acc += rng.normal(0.0, noise_std, size=(vocab_size, H))
     vocab = [f"w{i}" for i in range(vocab_size)]
     emb = EmbeddingMatrix(vocab=vocab, matrix=acc.astype(np.float32))

@@ -1,14 +1,15 @@
 """Whole-vocabulary passes run in row blocks: the same bits, bounded memory.
 
 Decode, export, code packing and unpacking, finiteness checks and the
-reports walk the vocabulary BLOCK_ROWS rows at a time; nn-overlap ranks
-its queries in blocks too. The bit tests compare each with a whole-matrix
-reference at vocabulary sizes that are not a multiple of BLOCK_ROWS. The
-memory tests take the tracemalloc peak, which counts numpy's buffers, of
-one call on a 20K x 300 synthetic matrix (24 MB as float32), or on a 5K x
-300 text file of its first rows, as a multiple of that matrix's bytes; the
-inputs exist before tracing starts, so the peak is what the call
-allocates.
+reports walk the vocabulary in blocks from embeddings.row_blocks, whose
+rows depend on the block's width (256 KiB of float64: 109 rows at
+H = 300); nn-overlap ranks its queries in blocks too. The bit
+tests compare each with a reference written here, over the whole matrix,
+at vocabulary sizes that are not a multiple of the block rows. The memory
+tests take the tracemalloc peak, which counts numpy's buffers, of one call
+on a 20K x 300 synthetic matrix (24 MB as float32), or on a 5K x 300 text
+file of its first rows, as a multiple of that matrix's bytes; the inputs
+exist before tracing starts, so the peak is what the call allocates.
 """
 
 import os
@@ -21,19 +22,24 @@ import numpy as np
 import pytest
 
 import codecomp
-from codecomp import analysis, codec, model, tensor
+from codecomp import analysis, cli, codec, model, tensor
 from codecomp.embeddings import (
-    BLOCK_ROWS,
     EmbeddingMatrix,
     read_binary_matrix,
     read_text_embeddings,
+    row_blocks,
     write_binary_matrix,
     write_text_embeddings,
 )
 from codecomp.errors import DataError
 from codecomp.synthetic import synthetic_embeddings
 
-BIG_VOCAB = 20_000  # 39 full blocks and one of 32 rows
+BIG_VOCAB = 20_000  # 183 full blocks of 109 rows at H = 300 and one of 53
+
+
+def block_rows(width):
+    """Rows of each full block that row_blocks gives at this width."""
+    return row_blocks(1, width)[0].stop
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +95,19 @@ def test_read_binary_matrix_holds_its_payload_once(big, tmp_path):
     write_binary_matrix(emb, tmp_path / "emb.bin")
     peak = traced_peak(read_binary_matrix, tmp_path / "emb.bin")
     assert peak <= 1.1 * emb.matrix.nbytes, peak / emb.matrix.nbytes
+
+
+def test_binary_limit_holds_only_its_rows(big, tmp_path):
+    # `train --limit 1000` on a DEM1 file: the first 1,000 rows and words,
+    # read on their own, not the whole payload behind a view of them.
+    emb = big[0]
+    path = tmp_path / "emb.bin"
+    write_binary_matrix(emb, path)
+    kept = emb.matrix[:1000].nbytes
+    # The vocabulary section's bytes are read whole to walk it (about 0.15x).
+    section = path.stat().st_size - 13 - emb.matrix.nbytes
+    peak = traced_peak(cli._read_embeddings, path, 1000)
+    assert peak <= 1.1 * kept + section + vocab_bytes(emb.vocab[:1000]), peak / kept
 
 
 def test_read_code_file_holds_its_codes_once(big, tmp_path):
@@ -170,11 +189,26 @@ def test_text_stats_rss_in_a_fresh_interpreter(text_file):
 
 # Bits: each blocked pass against its whole-matrix reference.
 
+def decode_whole(codes, books):
+    """Reference decoder: float32 codewords widened and summed over the whole
+    matrix from +0.0, codebook 0 first, then rounded to float32."""
+    acc = np.zeros((codes.vocab_size, books.H))
+    for i in range(books.M):
+        acc = acc + books.vectors[i * books.K + codes.codes[:, i]].astype(np.float64)
+    return acc.astype(np.float32)
+
+
 def test_block_decode_equals_rounded_whole_matrix_sums(big):
     emb, codes, books, _ = big
-    assert codes.vocab_size % BLOCK_ROWS
+    assert codes.vocab_size % block_rows(books.H)
+    # Column 0 of every codeword is -0.0: its sums are +0.0, as from +0.0.
+    vectors = books.vectors.copy()
+    vectors[:, 0] = -0.0
+    books = codec.Codebooks(books.M, books.K, books.H, vectors)
     got = codec.reconstruct_all(codes, books, emb.vocab).matrix
-    assert same_bits(got, codec.codeword_sums(codes, books).astype(np.float32))
+    want = decode_whole(codes, books)
+    assert same_bits(got, want)
+    assert not np.signbit(got[:, 0]).any()
 
 
 @pytest.mark.parametrize("M, K, H, vocab_size", [
@@ -197,10 +231,16 @@ def pack_whole(codes):
     return np.packbits(flat, axis=1, bitorder="little").tobytes()
 
 
-@pytest.mark.parametrize("M, K", [(16, 32), (3, 8), (1, 2)])
+@pytest.mark.parametrize("M, K", [(16, 32), (3, 8), (1, 2), (2, 512), (3, 1024)])
 def test_pack_and_unpack_match_whole_matrix_reference(M, K):
-    values = tensor.new_rng(M).integers(0, K, size=(2 * BLOCK_ROWS + 77, M))
+    # 9 and 10 bits per component cross byte boundaries. Unpacking's blocks
+    # are a float64 per packed byte and per component wide; packing's are
+    # narrower.
+    bytes_per_word = (M * int(np.log2(K)) + 7) // 8
+    vocab_size = 2 * block_rows(bytes_per_word + M) + 77
+    values = tensor.new_rng(M).integers(0, K, size=(vocab_size, M))
     codes = codec.CodeMatrix(M, K, values)
+    assert codes.bytes_per_word == bytes_per_word
     blob = codec.pack_codes(codes)
     assert blob[17:] == pack_whole(codes)
     again, end = codec.unpack_codes(blob)
@@ -209,11 +249,12 @@ def test_pack_and_unpack_match_whole_matrix_reference(M, K):
 
 
 def test_require_finite_names_a_word_past_the_first_block():
-    matrix = np.ones((3 * BLOCK_ROWS, 4), dtype=np.float32)
-    matrix[2 * BLOCK_ROWS + 5, 1] = np.inf
-    matrix[2 * BLOCK_ROWS + 9, 0] = np.nan
+    rows = block_rows(4)
+    matrix = np.ones((3 * rows, 4), dtype=np.float32)
+    matrix[2 * rows + 5, 1] = np.inf
+    matrix[2 * rows + 9, 0] = np.nan
     emb = EmbeddingMatrix(vocab=[f"w{i}" for i in range(len(matrix))], matrix=matrix)
-    row = 2 * BLOCK_ROWS + 5
+    row = 2 * rows + 5
     with pytest.raises(DataError, match=rf"'w{row}' \(row {row}\)"):
         emb.require_finite("a check")
 
@@ -232,12 +273,13 @@ def whole_matrix_report(original, recon):
 
 def test_report_equals_whole_matrix_formulas_bit_for_bit():
     rng = tensor.new_rng(11)
-    vocab_size = 2 * BLOCK_ROWS + 77
+    rows = block_rows(30)
+    vocab_size = 2 * rows + 77
     vocab = [f"w{i}" for i in range(vocab_size)]
     a = rng.standard_normal((vocab_size, 30)).astype(np.float32)
     b = (a + 0.1 * rng.standard_normal(a.shape)).astype(np.float32)
-    a[[3, BLOCK_ROWS + 1]] = 0.0  # zero rows: their cosine counts as 0
-    b[2 * BLOCK_ROWS + 4] = 0.0
+    a[[3, rows + 1]] = 0.0  # zero rows: their cosine counts as 0
+    b[2 * rows + 4] = 0.0
     original = EmbeddingMatrix(vocab=vocab, matrix=a)
     recon = EmbeddingMatrix(vocab=list(vocab), matrix=b)
     got = analysis.reconstruction_report(original, recon)
@@ -283,12 +325,13 @@ def test_neighbor_overlap_equals_one_block_reference_with_ties():
 
 def test_normalized_rows_equal_whole_matrix_division_and_keep_zero_rows():
     rng = tensor.new_rng(12)
-    matrix = rng.standard_normal((BLOCK_ROWS + 40, 7)).astype(np.float32)
-    matrix[[0, BLOCK_ROWS + 3]] = 0.0
+    rows = block_rows(7)
+    matrix = rng.standard_normal((rows + 40, 7)).astype(np.float32)
+    matrix[[0, rows + 3]] = 0.0
     x = matrix.astype(np.float64)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     want = np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
     got = analysis._normalize_rows(matrix)
     assert got.dtype == np.float64
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert not got[[0, BLOCK_ROWS + 3]].any()
+    assert not got[[0, rows + 3]].any()

@@ -14,7 +14,7 @@ from codecomp.codec import (
     write_code_file,
     write_codebook_file,
 )
-from codecomp.embeddings import BLOCK_ROWS, EmbeddingMatrix
+from codecomp.embeddings import EmbeddingMatrix, row_blocks
 from codecomp.errors import ConfigError, DataError
 from codecomp.model import SchemeConfig
 
@@ -83,7 +83,7 @@ class TestExport:
     def test_chunked_export_matches_whole_matrix_math(self):
         cfg = SchemeConfig(M=2, K=4, H=4)
         params = model.init_params(cfg, tensor.new_rng(3))
-        emb = make_embeddings(BLOCK_ROWS + 100, 4, seed=7)
+        emb = make_embeddings(row_blocks(1, 4)[0].stop + 100, 4, seed=7)
         codes, _ = export_codes(params, emb)
         h = np.tanh(emb.matrix.astype(np.float64) @ params.theta + params.b)
         raw = h @ params.theta_prime + params.b_prime

@@ -273,6 +273,17 @@ class TestBinaryFormat:
         assert again.vocab == emb.vocab
         assert np.array_equal(again.matrix, emb.matrix)
 
+    @pytest.mark.parametrize("limit", [1, 3, 5, 6])
+    def test_limit_reads_the_first_rows_and_words(self, tmp_path, limit):
+        emb = EmbeddingMatrix(vocab=["a", "bb", "日本", "d", "e"],
+                              matrix=np.arange(15, dtype=np.float32).reshape(5, 3))
+        path = tmp_path / "emb.bin"
+        write_binary_matrix(emb, path)
+        again = read_binary_matrix(path, limit=limit)
+        assert again.vocab == emb.vocab[:limit]
+        assert np.array_equal(again.matrix, emb.matrix[:limit])
+        assert again.matrix.base is None  # its own rows, not a view of them all
+
     def test_header_bytes(self, tmp_path):
         emb = EmbeddingMatrix(vocab=["a"], matrix=np.zeros((1, 2)))
         path = tmp_path / "emb.bin"

@@ -157,11 +157,17 @@ def small_files(root):
                     iteration=7)
 
 
+def read_first_row(path):
+    """`train --limit 1`'s read: the first row and word of a DEM1 file."""
+    return read_binary_matrix(path, limit=1)
+
+
 @pytest.mark.parametrize("name, reader", [
     ("emb.bin", read_binary_matrix),
     ("codes.bin", codec.read_code_file),
     ("books.bin", codec.read_codebook_file),
     ("model.ckpt", load_checkpoint),
+    ("emb.bin", read_first_row),
 ])
 def test_every_proper_prefix_raises(tmp_path, name, reader):
     small_files(tmp_path)

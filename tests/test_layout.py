@@ -2,8 +2,8 @@
 
 Every name a module imports is used there, a function that takes params
 reads the scheme from params.scheme rather than taking it again, no
-module-level function is there only for the tests to call, and only
-cli.main writes to stdout.
+module-level function is there only for the tests to call, only cli.main
+writes to stdout, and only embeddings sizes row blocks.
 """
 
 import ast
@@ -168,3 +168,35 @@ def test_stdout_writer_is_caught(tmp_path):
         "x = sys.stderr\n")
     assert stdout_writers([tmp_path / "mod.py"]) == [
         ("mod", None), ("mod", "main"), ("mod", "helper"), ("mod", "Report")]
+
+
+# The one block rule: every other module walks the vocabulary through
+# embeddings.row_blocks and never sizes a block itself.
+BLOCK_NAMES = {"BLOCK_BYTES"}
+
+
+def block_size_readers(paths):
+    """Modules in paths that name BLOCK_NAMES, as a name, attribute or import."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.split(".")[-1] for alias in node.names}
+            else:
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if names & BLOCK_NAMES:
+                found.add(path.stem)
+    return sorted(found)
+
+
+def test_only_embeddings_sizes_row_blocks():
+    assert block_size_readers(sorted(SRC.glob("*.py"))) == ["embeddings"]
+
+
+def test_block_size_reader_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text("from .embeddings import BLOCK_BYTES\n")
+    (tmp_path / "b.py").write_text("from . import embeddings\n"
+                                   "n = embeddings.BLOCK_BYTES // 8\n")
+    (tmp_path / "c.py").write_text("from .embeddings import row_blocks\n"
+                                   "blocks = row_blocks(10, 3)\n")
+    assert block_size_readers(sorted(tmp_path.glob("*.py"))) == ["a", "b"]
