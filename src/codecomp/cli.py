@@ -108,12 +108,12 @@ def cmd_train(args):
 
 def cmd_export(args):
     _require_writable(args.codes, args.books)
-    params, cfg, _ = trainer.load_checkpoint(args.checkpoint)
+    params, _, _ = trainer.load_checkpoint(args.checkpoint)
     emb = _read_embeddings(args.emb)
     codes, books = codec.export_codes(params, emb)
     codec.write_code_file(args.codes, codes, emb.vocab)
     codec.write_codebook_file(args.books, books)
-    return [("words", codes.vocab_size), ("M", cfg.M), ("K", cfg.K),
+    return [("words", codes.vocab_size), ("M", codes.M), ("K", codes.K),
             ("bits_per_word", codes.bits_per_word), ("codes", args.codes),
             ("books", args.books)]
 

@@ -10,13 +10,13 @@ padded to a byte boundary for O(1) random access.
 import io
 
 import numpy as np
+# numpy's matmul, unused here, but bench/tracing.py patches codec.matmul by name.
+from numpy import matmul  # noqa: F401
 
 from . import container
 from .embeddings import EmbeddingMatrix, row_blocks
 from .errors import ConfigError, DataError
 from .model import assign, bits_per_word, check_header, check_scheme, encode
-# matmul is unused here, but bench/tracing.py patches codec.matmul by name.
-from .tensor import matmul  # noqa: F401
 
 CODE_MAGIC = b"DCC1"
 BOOK_MAGIC = b"DCB1"

@@ -31,9 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import matmul
 
 from .errors import ConfigError, DataError, NumericError
-from .tensor import matmul, softplus
+from .tensor import softplus
 
 # Floor applied to alpha so 32-bit softplus underflow cannot zero a score:
 # each normaliser stays positive and backward's division by alpha finite.
@@ -244,8 +245,11 @@ def encode(params, x, check=True):
     With check, a non-finite alpha raises NumericError naming 'hidden' or
     'alpha'; an argmax over alpha would hide it. The soft forward pass
     checks its row sums over K and its loss instead, which any non-finite
-    stage reaches.
+    stage reaches. x must be B x H, or ConfigError is raised.
     """
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[1] != params.scheme.H:
+        raise ConfigError(f"batch shape {x.shape} does not match H={params.scheme.H}")
     h = matmul(x, params.theta)
     h += params.b
     np.tanh(h, out=h)
@@ -276,17 +280,18 @@ def forward(params, batch, noise, cfg, hard=False):
     None for the deterministic soft pass validation scores. With hard=True
     the soft assignment is replaced by the exact one-hot of assign's code,
     which is the reconstruction the exported codes produce; hard mode takes
-    no noise, and passing some raises ConfigError. cfg must equal
-    params.scheme, or ConfigError is raised; it stays in the signature
-    because bench/checks.py passes it positionally. A non-finite value
-    raises NumericError naming the first stage that holds one.
+    no noise, and passing some raises ConfigError, as an empty batch does.
+    cfg must equal params.scheme, or ConfigError is raised; it stays in the
+    signature because bench/checks.py passes it positionally. A non-finite
+    value raises NumericError naming the first stage that holds one.
     """
     if cfg != params.scheme:
         raise ConfigError(f"parameters are for {params.scheme}, not {cfg}")
     batch = np.asarray(batch)
-    if batch.ndim != 2 or batch.shape[1] != cfg.H:
-        raise ConfigError(f"batch shape {batch.shape} does not match H={cfg.H}")
+    h, alpha = encode(params, batch, check=hard)
     bsz = batch.shape[0]
+    if bsz == 0:
+        raise ConfigError("empty batch: forward needs at least one row")
     if noise is not None:
         if hard:
             raise ConfigError("hard forward takes no noise: a code is alpha's argmax")
@@ -296,7 +301,6 @@ def forward(params, batch, noise, cfg, hard=False):
                 f"noise shape {noise.shape}, expected {(bsz, cfg.M, cfg.K)}"
             )
 
-    h, alpha = encode(params, batch, check=hard)
     if hard:
         d = np.zeros_like(alpha)
         np.put_along_axis(d, assign(alpha)[:, :, None], 1.0, axis=2)

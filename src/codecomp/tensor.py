@@ -1,12 +1,9 @@
-"""Dense 2-D float kernel and seeded random sampling.
+"""Softplus, seeded random numbers and Gumbel sampling.
 
 Everything above this module works with plain numpy arrays; the helpers
 here pin down the numeric conventions the rest of the package relies on:
 
 * parameters and data are stored as 32-bit floats,
-* matrix products run in the operands' own dtype (float32 GEMMs in
-  training), so each entry is within inner * eps * (|a| @ |b|) of the
-  exact product,
 * random numbers come from numpy's PCG64 generator, so a seed fixes the
   entire sample stream bit-exactly on a given build,
 * Gumbel noise, which only training's soft forward pass takes, is drawn
@@ -35,25 +32,6 @@ def new_rng(seed):
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(seed)
-
-
-def matmul(a, b, out=None):
-    """Matrix product computed by BLAS in the operands' own dtype.
-
-    Both operands must be 2-D with matching inner dimension. Float32
-    operands take the sgemm path and float64 operands stay float64; each
-    output entry is within inner * eps(dtype) * (|a| @ |b|) of the exact
-    product (Higham, Accuracy and Stability of Numerical Algorithms, 3.5).
-    The output is not scanned for non-finite values; callers check at their
-    own stages. With out, the product is written there and out is returned.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ConfigError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ConfigError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return np.matmul(a, b, out=out)
 
 
 def softplus(x):

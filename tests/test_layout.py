@@ -14,8 +14,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "codecomp"
 
 # __init__.py is exempt: its imports are the public API. codec imports
-# matmul without calling it because bench/tracing.py patches codec.matmul
-# by name, and bench/tests fails if it is missing.
+# numpy's matmul without calling it because bench/tracing.py patches
+# codec.matmul by name, and bench/tests fails if it is missing.
 ALLOWED = {("codec", "matmul")}
 
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,14 @@ class TestForward:
             model.forward(params, np.zeros((3, 4), dtype=np.float32), None, cfg)
 
     @pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard"])
+    def test_empty_batch_is_a_config_error(self, hard):
+        cfg = SchemeConfig(M=2, K=4, H=5)
+        params = model.init_params(cfg, tensor.new_rng(0))
+        empty = np.zeros((0, 5), dtype=np.float32)
+        with pytest.raises(ConfigError, match="empty batch"):
+            model.forward(params, empty, None, cfg, hard=hard)
+
+    @pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard"])
     @pytest.mark.parametrize("M, K, H", [(4, 2, 3), (2, 8, 3), (1, 4, 3), (2, 4, 5)],
                              ids=["swapped", "K", "M", "H"])
     def test_scheme_other_than_params_is_rejected(self, M, K, H, hard):
@@ -243,6 +252,16 @@ class TestForward:
         x = rng.standard_normal((4, 3)).astype(np.float32)
         trace = model.forward(params, x, None, cfg)
         assert trace.loss >= 0
+
+
+class TestEncode:
+    @pytest.mark.parametrize("shape", [(3, 4), (5,)], ids=["width", "1-D"])
+    def test_batch_not_b_by_h_is_a_config_error(self, shape):
+        cfg = SchemeConfig(M=2, K=4, H=5)
+        params = model.init_params(cfg, tensor.new_rng(0))
+        message = re.escape(f"batch shape {shape} does not match H=5")
+        with pytest.raises(ConfigError, match=message):
+            model.encode(params, np.zeros(shape, dtype=np.float32))
 
 
 class TestModelParams:
