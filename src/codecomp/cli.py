@@ -41,15 +41,6 @@ def _count(minimum):
     return int_at_least
 
 
-def _read_embeddings(path, limit=None):
-    """Load a text or binary embedding file, sniffing the binary magic."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == embeddings.MATRIX_MAGIC:
-        return embeddings.read_binary_matrix(path, limit=limit)
-    return embeddings.read_text_embeddings(path, limit=limit)
-
-
 def _require_writable(*paths):
     """Raise OSError naming the first path that cannot be opened for writing.
 
@@ -70,7 +61,9 @@ def _require_writable(*paths):
 def _load_recon(args):
     """Reconstruction source for report commands: --recon or --codes/--books."""
     if args.recon:
-        return _read_embeddings(args.recon)
+        if args.codes or args.books:
+            raise ConfigError("give either --recon or --codes/--books, not both")
+        return embeddings.read_embeddings(args.recon)
     if args.codes and args.books:
         codes, vocab = codec.read_code_file(args.codes)
         books = codec.read_codebook_file(args.books)
@@ -80,7 +73,7 @@ def _load_recon(args):
 
 def cmd_train(args):
     _require_writable(args.out)  # fail before reading and training, not after
-    emb = _read_embeddings(args.emb, limit=args.limit)
+    emb = embeddings.read_embeddings(args.emb, limit=args.limit)
     cfg = SchemeConfig(M=args.M, K=args.K, H=emb.dim)
     tc = trainer.TrainConfig(
         scheme=cfg,
@@ -109,7 +102,7 @@ def cmd_train(args):
 def cmd_export(args):
     _require_writable(args.codes, args.books)
     params, _, _ = trainer.load_checkpoint(args.checkpoint)
-    emb = _read_embeddings(args.emb)
+    emb = embeddings.read_embeddings(args.emb)
     codes, books = codec.export_codes(params, emb)
     codec.write_code_file(args.codes, codes, emb.vocab)
     codec.write_codebook_file(args.books, books)
@@ -129,7 +122,7 @@ def cmd_reconstruct(args):
 
 
 def cmd_stats(args):
-    original = _read_embeddings(args.emb)
+    original = embeddings.read_embeddings(args.emb)
     recon = _load_recon(args)
     return list(analysis.reconstruction_report(original, recon).items())
 
@@ -172,7 +165,7 @@ def cmd_size(args):
 
 def cmd_pq(args):
     _require_writable(args.codes, args.books)
-    emb = _read_embeddings(args.emb, limit=args.limit)
+    emb = embeddings.read_embeddings(args.emb, limit=args.limit)
     codes, books, loss = analysis.pq_baseline(
         emb, args.M, args.K, iterations=args.iters, seed=args.seed,
     )
@@ -185,7 +178,7 @@ def cmd_pq(args):
 
 
 def cmd_nn_overlap(args):
-    original = _read_embeddings(args.emb)
+    original = embeddings.read_embeddings(args.emb)
     recon = _load_recon(args)
     overlap = analysis.neighbor_overlap(
         original, recon, k=args.k, sample=args.sample, seed=args.seed,

@@ -16,7 +16,7 @@ from numpy import matmul  # noqa: F401
 from . import container
 from .embeddings import EmbeddingMatrix, row_blocks
 from .errors import ConfigError, DataError
-from .model import assign, bits_per_word, check_header, check_scheme, encode
+from .model import assign, bits_per_word, check_scheme, encode
 
 CODE_MAGIC = b"DCC1"
 BOOK_MAGIC = b"DCB1"
@@ -160,7 +160,7 @@ def unpack_codes(data, source="code data"):
     """
     fh = data if hasattr(data, "read") else io.BytesIO(data)
     m, k, vocab_size = container.read_header(fh, CODE_MAGIC, 3, source)
-    check_header(source, m, k)
+    container.check_header(source, m, k)
     bits = bits_per_word(1, k)  # per component
     shape = (vocab_size, (m * bits + 7) // 8)
     raw = container.read_array(fh, shape, source, dtype=np.uint8)
@@ -200,6 +200,6 @@ def write_codebook_file(path, books):
 def read_codebook_file(path):
     with open(path, "rb") as fh:
         m, k, h = container.read_header(fh, BOOK_MAGIC, 3, path)
-        check_header(path, m, k, h)
+        container.check_header(path, m, k, h)
         vectors = container.read_array(fh, (m * k, h), path)
     return Codebooks(m, k, h, vectors)

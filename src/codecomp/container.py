@@ -4,9 +4,9 @@ Every file starts with a 4-byte magic, a version byte (1) and a fixed
 number of little-endian u32 header fields. Arrays follow row-major and
 little-endian (float32 unless a format says otherwise), and a vocabulary
 is each word's UTF-8 bytes behind a u32 length. This module is the only
-one that writes or parses those pieces; each format (DEM1 embeddings,
-DCC1 codes, DCB1 codebooks, DCLM checkpoints) only chooses its magic, its
-header fields and the order of what follows.
+one that writes, parses or checks those pieces; each format (DEM1
+embeddings, DCC1 codes, DCB1 codebooks, DCLM checkpoints) only chooses its
+magic, its header fields and the order of what follows.
 
 Readers take an open binary file (or io.BytesIO over in-memory data),
 read each piece from where the previous one ended, and take a `source`
@@ -21,9 +21,11 @@ import struct
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
+from .model import check_scheme
 
 VERSION = 1
+FIRST_FIELD = 5  # offset of the first u32 header field, past magic and version
 
 _U32 = struct.Struct("<I")  # a vocabulary entry's byte length
 
@@ -35,7 +37,7 @@ def header(magic, *fields):
 
 def read_header(fh, magic, count, source):
     """Check magic and version at the start of fh; returns the count u32 fields."""
-    end = 5 + 4 * count
+    end = FIRST_FIELD + 4 * count
     data = fh.read(end)
     if len(data) < end:
         raise DataError(
@@ -50,7 +52,22 @@ def read_header(fh, magic, count, source):
         raise DataError(
             f"{source}: unsupported {magic.decode()} version {data[4]} at offset 4"
         )
-    return struct.unpack_from(f"<{count}I", data, 5)
+    return struct.unpack_from(f"<{count}I", data, FIRST_FIELD)
+
+
+def check_header(source, m, k, h=1):
+    """DataError naming the first header field that breaks the scheme rule.
+
+    Code, codebook and checkpoint headers hold u32 M, K and (codebooks,
+    checkpoints) H as their first fields. Each field is checked alone, with
+    valid stand-ins for the others.
+    """
+    for i, fields in enumerate(((m, 2, 1), (1, k, 1), (1, 2, h))):
+        try:
+            check_scheme(*fields)
+        except ConfigError as exc:
+            offset = FIRST_FIELD + 4 * i
+            raise DataError(f"{source}: header at offset {offset}: {exc}") from exc
 
 
 def floats(array):

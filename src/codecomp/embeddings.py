@@ -168,3 +168,12 @@ def read_binary_matrix(path, limit=None):
         matrix = container.read_array(fh, (vocab_size, dim), path, keep=limit)
         vocab = container.read_vocab(fh, vocab_size, path, keep=limit)
     return EmbeddingMatrix(vocab=vocab, matrix=matrix)
+
+
+def read_embeddings(path, limit=None):
+    """A DEM1 file if path starts with its magic, else a text embedding file."""
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+    if magic == MATRIX_MAGIC:
+        return read_binary_matrix(path, limit=limit)
+    return read_text_embeddings(path, limit=limit)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import matmul
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, NumericError
 from .tensor import softplus
 
 # Floor applied to alpha so 32-bit softplus underflow cannot zero a score:
@@ -58,20 +58,6 @@ def check_scheme(M, K, H=1):
         raise ConfigError(f"K must be a power of 2 and >= 2, got {K}")
     if H < 1:
         raise ConfigError(f"H must be >= 1, got {H}")
-
-
-def check_header(source, m, k, h=1):
-    """DataError naming the first header field that breaks the scheme rule.
-
-    Code, codebook and checkpoint headers hold u32 M at offset 5, K at 9
-    and (codebooks, checkpoints) H at 13. Each field is checked alone, with
-    valid stand-ins for the others.
-    """
-    for offset, fields in ((5, (m, 2, 1)), (9, (1, k, 1)), (13, (1, 2, h))):
-        try:
-            check_scheme(*fields)
-        except ConfigError as exc:
-            raise DataError(f"{source}: header at offset {offset}: {exc}") from exc
 
 
 def bits_per_word(M, K):

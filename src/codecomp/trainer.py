@@ -9,20 +9,18 @@ bit-identical parameters on the same build, single-threaded.
 
 import logging
 import math
-import struct
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import container
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, NumericError
 from .model import (
     ModelParams,
     SchemeConfig,
     backward,
     adam_step,
-    check_header,
     forward,
     init_params,
     new_adam_state,
@@ -158,22 +156,15 @@ def save_checkpoint(path, params, iteration):
     with open(path, "wb") as fh:
         fh.write(container.header(CHECKPOINT_MAGIC, cfg.M, cfg.K, cfg.H))
         fh.write(container.floats(params.flat))
-        fh.write(struct.pack("<Q", iteration))
+        fh.write(np.array([iteration], dtype="<u8"))
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, scheme, iteration)."""
     with open(path, "rb") as fh:
         m, k, h = container.read_header(fh, CHECKPOINT_MAGIC, 3, path)
-        check_header(path, m, k, h)
+        container.check_header(path, m, k, h)
         cfg = SchemeConfig(M=m, K=k, H=h)
         flat = container.read_array(fh, (ModelParams.size(cfg),), path)
-        offset = fh.tell()
-        tail = fh.read(8)
-    if len(tail) < 8:
-        raise DataError(
-            f"{path}: truncated checkpoint: missing iteration counter "
-            f"at offset {offset}"
-        )
-    (iteration,) = struct.unpack("<Q", tail)
+        iteration = int(container.read_array(fh, (1,), path, dtype="<u8")[0])
     return ModelParams(cfg, flat), cfg, iteration

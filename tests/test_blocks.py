@@ -22,10 +22,11 @@ import numpy as np
 import pytest
 
 import codecomp
-from codecomp import analysis, cli, codec, model, tensor
+from codecomp import analysis, codec, model, tensor
 from codecomp.embeddings import (
     EmbeddingMatrix,
     read_binary_matrix,
+    read_embeddings,
     read_text_embeddings,
     row_blocks,
     write_binary_matrix,
@@ -106,7 +107,7 @@ def test_binary_limit_holds_only_its_rows(big, tmp_path):
     kept = emb.matrix[:1000].nbytes
     # The vocabulary section's bytes are read whole to walk it (about 0.15x).
     section = path.stat().st_size - 13 - emb.matrix.nbytes
-    peak = traced_peak(cli._read_embeddings, path, 1000)
+    peak = traced_peak(read_embeddings, path, 1000)
     assert peak <= 1.1 * kept + section + vocab_bytes(emb.vocab[:1000]), peak / kept
 
 

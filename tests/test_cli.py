@@ -14,6 +14,7 @@ from codecomp.cli import build_parser, format_pairs, main
 from codecomp.embeddings import (
     EmbeddingMatrix,
     read_binary_matrix,
+    read_embeddings,
     write_binary_matrix,
     write_text_embeddings,
 )
@@ -232,9 +233,8 @@ class TestExportReconstruct:
         assert report["bits_per_word"] == "4"
 
         # The file must agree with an in-process export from the checkpoint.
-        from codecomp.cli import _read_embeddings
         params, cfg, _ = trainer.load_checkpoint(trained)
-        want, _ = codec.export_codes(params, _read_embeddings(emb_file))
+        want, _ = codec.export_codes(params, read_embeddings(emb_file))
         got, vocab = codec.read_code_file(codes_path)
         assert (got.M, got.K) == (want.M, want.K)
         assert np.array_equal(got.codes, want.codes)
@@ -316,6 +316,22 @@ class TestExportReconstruct:
         assert main([command, "--codes", str(codes_path), "--quiet", *argv]) == 3
         err = capsys.readouterr().err
         assert "offset 5: M must be >= 1, got 0" in err
+        assert not out.exists()
+
+    def test_non_finite_codebook_file_exits_3_naming_the_codebooks(self, tmp_path,
+                                                                   capsys):
+        codes_path, books_path = tmp_path / "codes.bin", tmp_path / "books.bin"
+        codec.write_code_file(codes_path, codec.CodeMatrix(2, 4, np.array([[1, 2]])),
+                              ["a"])
+        vectors = np.zeros((8, 3), dtype=np.float32)
+        vectors[5, 1] = np.nan  # Codebooks refuses it, so write the bytes directly
+        books_path.write_bytes(container.header(b"DCB1", 2, 4, 3)
+                               + container.floats(vectors).tobytes())
+        out = tmp_path / "r.txt"
+        assert main(["reconstruct", "--codes", str(codes_path), "--books",
+                     str(books_path), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "codebooks contain non-finite entries" in err
         assert not out.exists()
 
     def test_corrupt_code_file_exits_3(self, tmp_path):
@@ -408,6 +424,17 @@ class TestAnalysisCommands:
     def test_stats_needs_a_source_exits_2(self, emb_file):
         assert main(["stats", "--emb", str(emb_file), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("command, flag", [("stats", "--codes"),
+                                               ("nn-overlap", "--books")])
+    def test_recon_with_a_code_file_exits_2_naming_both(self, emb_file, tmp_path,
+                                                        capsys, command, flag):
+        # Two reconstruction sources: neither may be dropped unread.
+        assert main([command, "--emb", str(emb_file), "--recon", str(emb_file),
+                     flag, str(tmp_path / "missing.bin"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "--recon" in err
+        assert "--codes/--books" in err
+
     def test_nn_overlap_self_is_one(self, emb_file, capsys):
         assert main([
             "nn-overlap", "--emb", str(emb_file), "--recon", str(emb_file),
@@ -418,15 +445,25 @@ class TestAnalysisCommands:
 
     def test_pq_reports_loss_and_writes_files(self, emb_file, tmp_path, capsys):
         codes_path = tmp_path / "pq-codes.bin"
+        books_path = tmp_path / "pq-books.bin"
         assert main([
             "pq", "--emb", str(emb_file), "--M", "2", "--K", "4",
-            "--codes", str(codes_path), "--format", "kv", "--quiet",
+            "--codes", str(codes_path), "--books", str(books_path),
+            "--format", "kv", "--quiet",
         ]) == 0
         report = kv(capsys.readouterr().out)
         assert float(report["loss"]) > 0
         codes, vocab = codec.read_code_file(codes_path)
         assert codes.vocab_size == 60
         assert len(vocab) == 60
+        # The files decode to the reported loss: up to the float32 rounding
+        # of the codebooks, since the loss comes from float64 centroids.
+        recon = codec.reconstruct_all(codes, codec.read_codebook_file(books_path), vocab)
+        original = read_embeddings(emb_file)
+        assert recon.vocab == original.vocab
+        residual = recon.matrix.astype(np.float64) - original.matrix
+        loss = (residual ** 2).sum() / len(vocab)
+        assert loss == pytest.approx(float(report["loss"]), rel=1e-5)
 
     def test_pq_on_non_finite_input_exits_3_naming_the_word(self, tmp_path, capsys):
         path = tmp_path / "emb.txt"

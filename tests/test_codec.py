@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,11 @@ class TestCodebookFile:
         # Each of these would write a file that read_codebook_file rejects.
         with pytest.raises(ConfigError, match=f"{field} must be"):
             Codebooks(M, K, H, np.zeros((M * K, H), dtype=np.float32))
+
+    def test_matrix_of_wrong_shape_is_a_config_error(self):
+        with pytest.raises(ConfigError,
+                           match=re.escape("codebook matrix shape (8, 2), expected (8, 3)")):
+            Codebooks(2, 4, 3, np.zeros((8, 2), dtype=np.float32))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "books.bin"

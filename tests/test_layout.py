@@ -3,7 +3,8 @@
 Every name a module imports is used there, a function that takes params
 reads the scheme from params.scheme rather than taking it again, no
 module-level function is there only for the tests to call, only cli.main
-writes to stdout, and only embeddings sizes row blocks.
+writes to stdout, only embeddings sizes row blocks, and only container
+imports struct.
 """
 
 import ast
@@ -200,3 +201,34 @@ def test_block_size_reader_is_caught(tmp_path):
     (tmp_path / "c.py").write_text("from .embeddings import row_blocks\n"
                                    "blocks = row_blocks(10, 3)\n")
     assert block_size_readers(sorted(tmp_path.glob("*.py"))) == ["a", "b"]
+
+
+# The one byte-layout owner: every format packs and parses its fields
+# through container, so no other module needs struct.
+def struct_importers(paths):
+    """Modules in paths that import struct or a name from it."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module}
+            else:
+                continue
+            if "struct" in names:
+                found.add(path.stem)
+    return sorted(found)
+
+
+def test_only_container_imports_struct():
+    assert struct_importers(sorted(SRC.glob("*.py"))) == ["container"]
+
+
+def test_struct_importer_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text("import struct\n")
+    (tmp_path / "b.py").write_text("from struct import pack\n")
+    (tmp_path / "c.py").write_text("import os, struct as s\n")
+    (tmp_path / "d.py").write_text("from . import container\nimport structlog\n"
+                                   "x = 'struct'\n")
+    assert struct_importers(sorted(tmp_path.glob("*.py"))) == ["a", "b", "c"]

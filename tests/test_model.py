@@ -180,6 +180,15 @@ class TestForward:
         with pytest.raises(ConfigError):
             model.forward(params, np.zeros((3, 4), dtype=np.float32), None, cfg)
 
+    def test_noise_of_wrong_shape_is_a_config_error(self):
+        cfg = SchemeConfig(M=2, K=4, H=5)
+        params = model.init_params(cfg, tensor.new_rng(0))
+        x = np.zeros((3, 5), dtype=np.float32)
+        noise = np.zeros((3, 4, 2), dtype=np.float32)  # M and K swapped
+        with pytest.raises(ConfigError,
+                           match=re.escape("noise shape (3, 4, 2), expected (3, 2, 4)")):
+            model.forward(params, x, noise, cfg)
+
     @pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard"])
     def test_empty_batch_is_a_config_error(self, hard):
         cfg = SchemeConfig(M=2, K=4, H=5)
