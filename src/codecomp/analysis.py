@@ -338,9 +338,7 @@ def reconstruction_report(original, recon):
     """
     _check_pair(original, recon, "the reconstruction report")
     if original.dim != recon.dim:
-        raise ConfigError(
-            f"dimension mismatch: {original.dim} vs {recon.dim}"
-        )
+        raise ConfigError(f"dimension mismatch: {original.dim} vs {recon.dim}")
     vocab_size = original.vocab_size
     sq_err, dot, na, nb = np.empty((4, vocab_size))
     max_abs = 0.0

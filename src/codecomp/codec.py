@@ -202,4 +202,6 @@ def read_codebook_file(path):
         m, k, h = container.read_header(fh, BOOK_MAGIC, 3, path)
         container.check_header(path, m, k, h)
         vectors = container.read_array(fh, (m * k, h), path)
+    if not np.isfinite(vectors).all():
+        raise DataError(f"{path}: codebooks contain non-finite entries")
     return Codebooks(m, k, h, vectors)

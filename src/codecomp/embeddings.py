@@ -140,17 +140,17 @@ def read_text_embeddings(path, limit=None):
 def write_text_embeddings(emb, path):
     """Inverse of read_text_embeddings; floats round-trip to identical bits.
 
-    Each value is rendered with Python's shortest repr of its exact float64
-    widening, which parses back to the same float32.
+    Each value is written %.9g, float32's max_digits10: the decimal lies
+    within 0.084 ulp of the float32, so float() then float32 gets it back.
     """
     for word in emb.vocab:
         if not word or any(ch.isspace() for ch in word):
             raise DataError(
                 f"word {word!r} cannot be written: text format is whitespace-delimited"
             )
-    with open(path, "w", encoding="utf-8") as fh:
-        for word, row in zip(emb.vocab, emb.matrix):
-            fh.write(" ".join([word, *map(repr, row.tolist())]) + "\n")
+    line = "%s" + " %.9g" * emb.dim + "\n"
+    with open(path, "w", encoding="utf-8") as fh:  # one row's text at a time
+        fh.writelines(line % (w, *row.tolist()) for w, row in zip(emb.vocab, emb.matrix))
 
 
 def write_binary_matrix(emb, path):

@@ -331,8 +331,21 @@ class TestExportReconstruct:
         assert main(["reconstruct", "--codes", str(codes_path), "--books",
                      str(books_path), "--out", str(out), "--quiet"]) == 3
         err = capsys.readouterr().err
-        assert "codebooks contain non-finite entries" in err
+        assert err == f"error: {books_path}: codebooks contain non-finite entries\n"
         assert not out.exists()
+
+    def test_stats_names_a_non_finite_codebook_file_as_given(self, tmp_path,
+                                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        codec.write_code_file("codes.bin", codec.CodeMatrix(1, 2, np.array([[1]])), ["a"])
+        Path("emb.txt").write_text("a 0 0\n")
+        vectors = np.array([[0.0, 0.0], [np.inf, 0.0]], dtype=np.float32)
+        Path("nan.bin").write_bytes(container.header(b"DCB1", 1, 2, 2)
+                                    + container.floats(vectors).tobytes())
+        assert main(["stats", "--emb", "emb.txt", "--codes", "codes.bin",
+                     "--books", "nan.bin", "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: nan.bin: codebooks contain non-finite entries\n"
 
     def test_corrupt_code_file_exits_3(self, tmp_path):
         bad = tmp_path / "codes.bin"

@@ -102,6 +102,15 @@ class TestTextFormat:
             again.matrix.view(np.uint32), emb.matrix.view(np.uint32)
         )
 
+    def test_reads_seventeen_digit_files_too(self, tmp_path):
+        # Files written before values were %.9g hold repr of the float64 widening.
+        values = np.array([0.1, -2.5999155, 1e-45, 3.4028235e38], dtype=np.float32)
+        path = tmp_path / "emb.txt"
+        path.write_text("w " + " ".join(map(repr, values.tolist())) + "\n")
+        assert "0.10000000149011612" in path.read_text()
+        again = read_text_embeddings(path)
+        assert np.array_equal(again.matrix[0].view(np.uint32), values.view(np.uint32))
+
     def test_word_with_space_rejected_on_write(self, tmp_path):
         emb = EmbeddingMatrix(vocab=["a b"], matrix=np.zeros((1, 2)))
         with pytest.raises(DataError):
@@ -143,6 +152,84 @@ class TestTextFormat:
         path.write_bytes(b"a 1.0 2.0\n\xff 3.0 4.0\n")
         with pytest.raises(DataError, match="not UTF-8"):
             read_text_embeddings(path)
+
+
+def text_round_trip(matrix, path):
+    """Write matrix as text, read it back, return the float32 bits read."""
+    matrix = np.asarray(matrix, dtype=np.float32)
+    emb = EmbeddingMatrix(vocab=[f"w{i}" for i in range(len(matrix))], matrix=matrix)
+    write_text_embeddings(emb, path)
+    again = read_text_embeddings(path)
+    assert again.vocab == emb.vocab
+    return again.matrix.view(np.uint32)
+
+
+def significant_digits(field):
+    """Digits of a %g field's mantissa from its first non-zero one (0 for inf)."""
+    mantissa = field.lower().split("e")[0]
+    return len("".join(ch for ch in mantissa if ch.isdigit()).lstrip("0"))
+
+
+F32 = np.finfo(np.float32)
+EDGE_VALUES = [
+    0.0, -0.0,
+    F32.smallest_subnormal, -F32.smallest_subnormal,  # 2^-149, about 1.4e-45
+    F32.tiny - F32.smallest_subnormal,  # the largest subnormal
+    F32.tiny, -F32.tiny,  # the smallest normal
+    F32.max, -F32.max, np.inf, -np.inf,
+    *(np.nextafter(np.float32(10.0 ** e), np.float32(to))
+      for e in range(-45, 39) for to in (0.0, np.inf)),
+    *(np.float32(10.0 ** e) for e in range(-45, 39)),
+]
+
+
+class TestTextWriter:
+    """Values are written %.9g and read back to the same float32 bits."""
+
+    def test_exact_bytes(self, tmp_path):
+        matrix = np.array([[-0.0, F32.smallest_subnormal, 3.4028235e38],
+                           [0.1, 1.0, -2.5]], dtype=np.float32)
+        path = tmp_path / "emb.txt"
+        write_text_embeddings(EmbeddingMatrix(vocab=["a", "b"], matrix=matrix), path)
+        assert path.read_bytes() == (b"a -0 1.40129846e-45 3.40282347e+38\n"
+                                     b"b 0.100000001 1 -2.5\n")
+
+    def test_no_value_has_more_than_nine_significant_digits(self, tmp_path):
+        rng = np.random.default_rng(7)
+        matrix = rng.standard_normal((50, 40)) * 10.0 ** rng.integers(-40, 38, (50, 40))
+        matrix[0] = EDGE_VALUES[:40]
+        path = tmp_path / "emb.txt"
+        text_round_trip(matrix, path)
+        fields = [f for line in path.read_text().splitlines() for f in line.split()[1:]]
+        assert len(fields) == 50 * 40
+        assert max(map(significant_digits, fields)) == 9
+
+    def test_significant_digits_helper(self):
+        assert [significant_digits(f) for f in
+                ["-0", "1", "0.100000001", "1.40129846e-45", "-3.40282347e+38",
+                 "1e+10", "0.000123", "inf"]] == [0, 1, 9, 9, 9, 1, 3, 0]
+
+    def test_named_edge_values(self, tmp_path):
+        values = np.array(EDGE_VALUES, dtype=np.float32)
+        bits = text_round_trip(values[None, :], tmp_path / "emb.txt")
+        assert np.array_equal(bits[0], values.view(np.uint32))
+
+    def test_million_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(2026)
+        bits = rng.integers(0, 2 ** 32, size=(4000, 250), dtype=np.uint32)
+        # An all-ones exponent is inf or NaN: clearing its top bit keeps it finite.
+        bits[(bits & 0x7F800000) == 0x7F800000] ^= 0x40000000
+        values = bits.view(np.float32)
+        assert values.size == 10 ** 6 and np.isfinite(values).all()
+        assert np.array_equal(text_round_trip(values, tmp_path / "emb.txt"), bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(width=32, allow_nan=False), min_size=1, max_size=100))
+    def test_any_float32_round_trips(self, row):
+        values = np.array([row], dtype=np.float32)
+        with tempfile.TemporaryDirectory() as tmp:
+            bits = text_round_trip(values, Path(tmp) / "emb.txt")
+        assert np.array_equal(bits, values.view(np.uint32))
 
 
 def list_reader(path, limit=None):

@@ -341,5 +341,5 @@ class TestCheckpoint:
         save_checkpoint(path, params, iteration=0)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
-        with pytest.raises(DataError, match="iteration"):
+        with pytest.raises(DataError, match="truncated payload.*offset"):
             load_checkpoint(path)
