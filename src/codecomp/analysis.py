@@ -77,7 +77,7 @@ def size_report(scheme, vocab_size):
         "total_mb": total / 1e6,
         "baseline_bytes": baseline,
         "baseline_mb": baseline / 1e6,
-        "compression_ratio": baseline / total if total else float("inf"),
+        "compression_ratio": baseline / total,
         "binary_equivalent_bits": n_basis // 2,
     }
 
@@ -243,22 +243,18 @@ def pq_baseline(emb, M, K, iterations=25, seed=0):
     if vocab_size < K:
         raise ConfigError(f"need at least K={K} words, got {vocab_size}")
     emb.require_finite("PQ")
-    blocks = [(cols[0], cols[-1] + 1) for cols in np.array_split(np.arange(dim), M)]
-    block_rngs = new_rng(seed).spawn(M)
-
-    results = [
-        _kmeans_block(matrix[:, lo:hi].astype(np.float64), K, iterations, rng)
-        for (lo, hi), rng in zip(blocks, block_rngs)
-    ]
-
-    codes = np.zeros((vocab_size, M), dtype=np.int32)
+    codes = np.empty((vocab_size, M), dtype=np.int32)
     books = np.zeros((M * K, dim), dtype=np.float32)
     total_sse = 0.0
-    for i, ((lo, hi), (assign, centroids, sse)) in enumerate(zip(blocks, results)):
+    for i, (cols, rng) in enumerate(zip(np.array_split(np.arange(dim), M),
+                                        new_rng(seed).spawn(M))):
+        lo, hi = cols[0], cols[-1] + 1
+        assign, centroids, sse = _kmeans_block(
+            matrix[:, lo:hi].astype(np.float64), K, iterations, rng)
         codes[:, i] = assign
         books[i * K:(i + 1) * K, lo:hi] = centroids
         total_sse += sse
-    loss = total_sse / vocab_size if vocab_size else 0.0
+    loss = total_sse / vocab_size
     return CodeMatrix(M, K, codes), Codebooks(M, K, dim, books), loss
 
 

@@ -144,7 +144,7 @@ def write_text_embeddings(emb, path):
     within 0.084 ulp of the float32, so float() then float32 gets it back.
     """
     for word in emb.vocab:
-        if not word or any(ch.isspace() for ch in word):
+        if word.split() != [word]:
             raise DataError(
                 f"word {word!r} cannot be written: text format is whitespace-delimited"
             )

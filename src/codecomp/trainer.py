@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import container
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .model import (
     ModelParams,
     SchemeConfig,
@@ -167,4 +167,6 @@ def load_checkpoint(path):
         cfg = SchemeConfig(M=m, K=k, H=h)
         flat = container.read_array(fh, (ModelParams.size(cfg),), path)
         iteration = int(container.read_array(fh, (1,), path, dtype="<u8")[0])
+    if not np.isfinite(flat).all():
+        raise DataError(f"{path}: checkpoint contains non-finite parameters")
     return ModelParams(cfg, flat), cfg, iteration

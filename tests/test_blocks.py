@@ -3,8 +3,8 @@
 Decode, export, code packing and unpacking, finiteness checks and the
 reports walk the vocabulary in blocks from embeddings.row_blocks, whose
 rows depend on the block's width (256 KiB of float64: 109 rows at
-H = 300); nn-overlap ranks its queries in blocks too. The bit
-tests compare each with a reference written here, over the whole matrix,
+H = 300); nn-overlap ranks its queries in blocks too, and PQ clusters
+one dimension block at a time. The bit tests compare each with a reference written here, over the whole matrix,
 at vocabulary sizes that are not a multiple of the block rows. The memory
 tests take the tracemalloc peak, which counts numpy's buffers, of one call
 on a 20K x 300 synthetic matrix (24 MB as float32), or on a 5K x 300 text
@@ -157,6 +157,17 @@ def test_neighbor_overlap_peak(big):
     recon = codec.reconstruct_all(codes, books, emb.vocab)
     peak = traced_peak(analysis.neighbor_overlap, emb, recon, 10, 200)
     assert peak <= 3.25 * emb.matrix.nbytes, peak / emb.matrix.nbytes
+
+
+def test_pq_baseline_holds_one_block_of_codes(big):
+    # At M150 K4 each block is 2 columns: its float64 copy is 0.013x the
+    # matrix and its intp assignments 0.007x. Holding all 150 blocks'
+    # assignments until the end would add 1x.
+    emb = big[0]
+    codes_nbytes = BIG_VOCAB * 150 * np.dtype(np.int32).itemsize
+    peak = traced_peak(analysis.pq_baseline, emb, 150, 4, 2)
+    assert peak <= codes_nbytes + 0.5 * emb.matrix.nbytes, \
+        (peak - codes_nbytes) / emb.matrix.nbytes
 
 
 RSS_SCRIPT = """

@@ -347,6 +347,21 @@ class TestExportReconstruct:
         err = capsys.readouterr().err
         assert err == "error: nan.bin: codebooks contain non-finite entries\n"
 
+    @pytest.mark.parametrize("group", ["A", "theta"])
+    def test_non_finite_checkpoint_exits_3_naming_the_checkpoint(self, emb_file, tmp_path,
+                                                                 capsys, group):
+        params = model.init_params(SchemeConfig(M=2, K=4, H=8), tensor.new_rng(0))
+        getattr(params, group)[1, 2] = np.nan
+        ckpt = tmp_path / "model.ckpt"
+        trainer.save_checkpoint(ckpt, params, 0)
+        codes_path = tmp_path / "codes.bin"
+        assert main(["export", "--checkpoint", str(ckpt), "--emb", str(emb_file),
+                     "--codes", str(codes_path), "--books", str(tmp_path / "books.bin"),
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt}: checkpoint contains non-finite parameters\n"
+        assert not codes_path.exists()
+
     def test_corrupt_code_file_exits_3(self, tmp_path):
         bad = tmp_path / "codes.bin"
         bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")

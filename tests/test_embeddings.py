@@ -1,4 +1,6 @@
 import logging
+import re
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -18,6 +20,12 @@ from codecomp.embeddings import (
 )
 from codecomp.errors import ConfigError, DataError
 from codecomp.synthetic import synthetic_embeddings
+
+# The 29 code points str.split() splits on, which are the text reader's
+# field separators.
+WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+              + "".join(map(chr, range(0x2000, 0x200B)))
+              + "\u2028\u2029\u202f\u205f\u3000")
 
 
 class TestEmbeddingMatrix:
@@ -111,15 +119,34 @@ class TestTextFormat:
         again = read_text_embeddings(path)
         assert np.array_equal(again.matrix[0].view(np.uint32), values.view(np.uint32))
 
-    def test_word_with_space_rejected_on_write(self, tmp_path):
-        emb = EmbeddingMatrix(vocab=["a b"], matrix=np.zeros((1, 2)))
-        with pytest.raises(DataError):
-            write_text_embeddings(emb, tmp_path / "emb.txt")
-
     def test_empty_word_rejected_on_write(self, tmp_path):
-        emb = EmbeddingMatrix(vocab=[""], matrix=np.zeros((1, 2)))
-        with pytest.raises(DataError):
-            write_text_embeddings(emb, tmp_path / "emb.txt")
+        emb = EmbeddingMatrix(vocab=["ok", ""], matrix=np.zeros((2, 2)))
+        path = tmp_path / "emb.txt"
+        with pytest.raises(DataError, match="word '' cannot be written"):
+            write_text_embeddings(emb, path)
+        assert not path.exists()
+
+    def test_whitespace_is_what_the_reader_splits_on(self):
+        splits = [c for c in map(chr, range(sys.maxunicode + 1))
+                  if len(f"a{c}b".split()) == 2]
+        assert "".join(splits) == WHITESPACE and len(WHITESPACE) == 29
+
+    @pytest.mark.parametrize("space", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+    def test_word_with_whitespace_rejected_on_write(self, tmp_path, space):
+        path = tmp_path / "emb.txt"
+        for word in (space, f"a{space}b", f"a{space}"):
+            emb = EmbeddingMatrix(vocab=["ok", word], matrix=np.zeros((2, 2)))
+            with pytest.raises(DataError, match=re.escape(f"word {word!r} cannot be written")):
+                write_text_embeddings(emb, path)
+        assert not path.exists()
+
+    def test_non_whitespace_words_round_trip(self, tmp_path):
+        # U+200B ZERO WIDTH SPACE is not whitespace to str.split().
+        vocab = ["a\u200bb", "na\u00efve"]
+        emb = EmbeddingMatrix(vocab=vocab, matrix=np.eye(2))
+        path = tmp_path / "emb.txt"
+        write_text_embeddings(emb, path)
+        assert read_text_embeddings(path).vocab == vocab
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "emb.txt"

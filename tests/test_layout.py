@@ -4,10 +4,12 @@ Every name a module imports is used there, a function that takes params
 reads the scheme from params.scheme rather than taking it again, no
 module-level function is there only for the tests to call, only cli.main
 writes to stdout, only embeddings sizes row blocks, only container
-imports struct, and embeddings never calls repr.
+imports struct, embeddings never calls repr, and the numpy floor in
+pyproject.toml has Generator.spawn.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -257,3 +259,12 @@ def test_repr_reader_is_caught(tmp_path):
                     "z = f'{x!r} {y}'\n"
                     "w = 'repr(2)'\n")
     assert repr_readers(path) == [1, 2]
+
+
+# pq_baseline seeds its blocks with Generator.spawn, which numpy added in
+# 1.25. tomllib would need Python 3.11, so the floor is read with a regex.
+def test_numpy_floor_has_generator_spawn():
+    text = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', text)
+    assert floor is not None, "pyproject.toml gives no numpy floor"
+    assert tuple(map(int, floor.groups())) >= (1, 25), floor.group(0)
