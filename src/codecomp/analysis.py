@@ -319,9 +319,11 @@ def neighbor_overlap(original, recon, k, sample, seed=0):
     queries = rng.choice(vocab_size, size=min(sample, vocab_size), replace=False)
     top_o = _top_neighbors(original.matrix, queries, k)
     top_r = _top_neighbors(recon.matrix, queries, k)
-    shared = [len(set(a.tolist()) & set(b.tolist())) for a, b in zip(top_o, top_r)]
-    # Counts are small integers, so their float64 sum is exact.
-    return float(np.mean(shared) / k) if shared else 0.0
+    # Each row holds k distinct indices, so a shared neighbor is a pair of
+    # equal neighbors in its sorted 2k; the float64 sum of the counts is exact.
+    both = np.sort(np.concatenate([top_o, top_r], axis=1), axis=1)
+    shared = (both[:, 1:] == both[:, :-1]).sum(axis=1)
+    return float(np.mean(shared) / k) if len(shared) else 0.0
 
 
 def reconstruction_report(original, recon):

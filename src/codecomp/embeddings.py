@@ -7,7 +7,7 @@ codes address words by position.
 
 import logging
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -88,10 +88,59 @@ def read_text_embeddings(path, limit=None):
     keeps its first occurrence and logs a warning; its values are still
     parsed, so a bad one raises.
 
-    Each value is parsed with Python's float and rounded to float32 as its
-    line is stored, into one buffer that grows in place: the matrix is
-    never held twice, nor as Python floats.
+    Values come from numpy's C text reader, which converts each field with
+    the routine float() uses and rounds it to float32, and words from one
+    split per line. Whatever that reader rejects (a bad or ragged line,
+    non-UTF-8 bytes, the underscores and non-ASCII digits float() takes) is
+    read again by _read_text_checked, which also names each fault.
     """
+    words = {}  # an ordered set: the vocabulary so far
+    duplicates = []  # (row, line number, word) of each repeat, in file order
+
+    def data_lines(fh):  # the first `limit` non-blank lines, noting each word
+        for lineno, line in enumerate(fh, start=1):
+            head = line.split(None, 1)
+            if not head:
+                continue
+            row = len(words) + len(duplicates)
+            if limit is not None and row >= limit:
+                return
+            if head[0] in words:
+                duplicates.append((row, lineno, head[0]))
+            else:
+                words[head[0]] = None
+            yield line
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = data_lines(fh)
+            first = next(lines, "")
+            dim = len(first.split()) - 1
+            if dim < 1:  # no line, or no values: the checked path tells which
+                raise ValueError(path)
+            # Column 0 is the words: the converter reads each as 0.0.
+            values = np.loadtxt(chain([first], lines), dtype=np.float32, comments=None,
+                                ndmin=2, converters={0: lambda word: 0.0})
+        if values.shape != (len(words) + len(duplicates), dim + 1):
+            raise ValueError(path)
+    except ValueError:  # UnicodeDecodeError is one too
+        return _read_text_checked(path, limit)
+    # Drop column 0 and the repeats' rows in place, a block at a time: kept
+    # row j moves back to element j * dim, behind every row still to move.
+    keep = np.delete(np.arange(len(values)), [row for row, _, _ in duplicates])
+    for block in row_blocks(len(keep), dim):
+        kept = values[keep[block], 1:]
+        values.reshape(-1)[block.start * dim:][:kept.size] = kept.ravel()
+    values.resize((len(keep), dim), refcheck=False)
+    for _, lineno, word in duplicates:
+        log.warning("%s: line %d: duplicate word %r, keeping first occurrence",
+                    path, lineno, word)
+    return EmbeddingMatrix(vocab=list(words), matrix=values)
+
+
+def _read_text_checked(path, limit):
+    """read_text_embeddings line by line with float(), into a float32 buffer
+    that grows in place: each fault is raised, and each repeat logged, at its line."""
     words = {}  # an ordered set: the vocabulary so far
     matrix = np.empty((0, 0), dtype=np.float32)
     dim = None

@@ -10,6 +10,7 @@ from codecomp import tensor
 from codecomp.analysis import (
     _kmeans_block,
     _nearest,
+    _top_neighbors,
     balance_table,
     neighbor_overlap,
     pq_baseline,
@@ -468,6 +469,17 @@ class TestNeighborOverlap:
         overlap = neighbor_overlap(a, b, k=10, sample=200, seed=0)
         # Chance level is k/(V-1) ~ 0.02; observed 0.019 for these seeds.
         assert 0.005 < overlap < 0.035
+
+    def test_count_equals_set_intersection_of_top_neighbors(self):
+        a = random_embeddings(300, 12, seed=3)
+        noise = random_embeddings(300, 12, seed=4).matrix
+        b = EmbeddingMatrix(vocab=list(a.vocab), matrix=a.matrix + 0.6 * noise)
+        k, sample = 20, 120
+        queries = tensor.new_rng(9).choice(300, size=sample, replace=False)
+        shared = [len(set(x.tolist()) & set(y.tolist())) for x, y in
+                  zip(_top_neighbors(a.matrix, queries, k), _top_neighbors(b.matrix, queries, k))]
+        assert 0 < min(shared) and max(shared) < k  # every query shares some, none all
+        assert neighbor_overlap(a, b, k, sample, seed=9) == float(np.mean(shared) / k)
 
     def test_k_too_large(self):
         emb = random_embeddings(10, 4, seed=0)

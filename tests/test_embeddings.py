@@ -2,6 +2,7 @@ import logging
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from codecomp import tensor
+from codecomp import embeddings, tensor
 from codecomp.embeddings import (
     EmbeddingMatrix,
+    _read_text_checked,
     read_binary_matrix,
     read_text_embeddings,
     write_binary_matrix,
@@ -26,6 +28,8 @@ from codecomp.synthetic import synthetic_embeddings
 WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
               + "".join(map(chr, range(0x2000, 0x200B)))
               + "\u2028\u2029\u202f\u205f\u3000")
+# The 27 that can sit inside a line: text-mode reads end lines at \n and \r.
+INLINE_WHITESPACE = WHITESPACE.replace("\n", "").replace("\r", "")
 
 
 class TestEmbeddingMatrix:
@@ -180,6 +184,47 @@ class TestTextFormat:
         with pytest.raises(DataError, match="not UTF-8"):
             read_text_embeddings(path)
 
+    @pytest.mark.parametrize("limit", [None, 2, 3])
+    def test_blank_lines_raise_no_warning(self, tmp_path, limit):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1 2\n\n \t\nb 3 4\n\x0c\n\u3000 \na 5 6\n  \nc 7 8\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emb = read_text_embeddings(path, limit=limit)
+            want = _read_text_checked(path, limit)
+        assert emb.vocab == want.vocab
+        assert np.array_equal(emb.matrix, want.matrix)
+
+    def test_clean_files_skip_the_checked_path(self, tmp_path):
+        rng = tensor.new_rng(8)
+        matrix = rng.standard_normal((40, 9)).astype(np.float32)
+        emb = EmbeddingMatrix(vocab=[f"w{i}" for i in range(40)], matrix=matrix)
+        written, long = tmp_path / "written.txt", tmp_path / "repr.txt"
+        write_text_embeddings(emb, written)
+        long.write_text("".join(f"w{i} " + " ".join(map(repr, row)) + "\n"
+                                for i, row in enumerate(matrix.tolist())))
+        assert max(map(significant_digits, long.read_text().split())) == 17
+        with mock.patch.object(embeddings, "_read_text_checked",
+                               side_effect=AssertionError("checked path ran")):
+            for path in (written, long):
+                again = read_text_embeddings(path)
+                assert again.vocab == emb.vocab
+                assert np.array_equal(again.matrix.view(np.uint32), matrix.view(np.uint32))
+
+    def test_values_only_float_reads_take_the_checked_path(self, tmp_path):
+        # float() reads underscores and any Unicode decimal digits; numpy's
+        # reader rejects both, so this file is read line by line.
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1_5 0.25\nb \u0661\u0662 -3\n")
+        with mock.patch.object(embeddings, "_read_text_checked",
+                               wraps=_read_text_checked) as checked:
+            emb = read_text_embeddings(path)
+        checked.assert_called_once_with(path, None)
+        assert emb.vocab == ["a", "b"]
+        want = np.array([[float("1_5"), 0.25], [float("\u0661\u0662"), -3.0]], np.float32)
+        assert want[1, 0] == 12.0
+        assert np.array_equal(emb.matrix.view(np.uint32), want.view(np.uint32))
+
 
 def text_round_trip(matrix, path):
     """Write matrix as text, read it back, return the float32 bits read."""
@@ -323,45 +368,66 @@ def outcome(reader, path, limit):
 VALUES = st.one_of(
     st.floats(width=32, allow_nan=False).map(repr),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.sampled_from(["nan", "-inf", "1e39", "-1e-50", "1_5", "+.5", "7"]),
+    st.sampled_from(["nan", "-inf", "1e39", "-1e-50", "+.5", "7"]),
 )
+# float() reads these and numpy's reader does not. A file holding one, a
+# BAD_VALUES entry or a ragged line is read again by the checked path.
+FLOAT_ONLY_VALUES = st.sampled_from(["1_5", "\u0661\u0662"])
 BAD_VALUES = st.sampled_from(["0x1p3", "x", "1e", "--1"])
-SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t ", "\x0b", "\u3000"])
+# Any run of in-line whitespace. \x0c, \x1c, \x85 and \u2028 end a line
+# for str.splitlines but not for text-mode reads, so they sit inside lines.
+SEPARATORS = st.sampled_from([" ", "\t", "  "]) | st.text(
+    st.sampled_from(INLINE_WHITESPACE), min_size=1, max_size=3)
+PADDING = st.sampled_from(["", "", " ", "\t"]) | st.text(
+    st.sampled_from("\x0c\x1c\x85\u2028\u3000 "), min_size=1, max_size=2)
+# Words numpy's reader could take for a comment, a quote or a number.
+WORDS = st.sampled_from(["a", "b", "c", "d", "\u00e9t\u00e9", "#a", '"a', "nan", "1.5"])
 
 
 @st.composite
 def text_files(draw):
-    """Random text embedding files and a limit: blank and whitespace-only
-    lines, tabs and runs of spaces, CRLF endings, duplicate words, and the
-    odd bad value or ragged line."""
+    """Random text embedding files, a limit, and whether numpy's reader
+    should read the file alone: blank and whitespace-only lines, any
+    whitespace between fields, CRLF and CR endings, duplicate words, and in
+    some files the odd bad value, ragged line or value only float() reads."""
     dim = draw(st.integers(1, 4))
+    faulty = draw(st.booleans())
+    values = st.one_of(VALUES, FLOAT_ONLY_VALUES) if faulty else VALUES
+    kinds = ["row"] * 12 + ["blank"] * 2 + (["bad", "ragged"] if faulty else [])
     lines = []
+    rows = 0
     for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["row"] * 12 + ["blank"] * 2 + ["bad", "ragged"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "blank":
-            line = draw(st.sampled_from(["", " ", "\t", "  \t "]))
+            line = draw(PADDING)
         else:
+            rows += 1
             width = draw(st.integers(0, dim + 1)) if kind == "ragged" else dim
-            values = draw(st.lists(VALUES, min_size=width, max_size=width))
+            fields = draw(st.lists(values, min_size=width, max_size=width))
             if kind == "bad":
-                values[draw(st.integers(0, dim - 1))] = draw(BAD_VALUES)
-            word = draw(st.sampled_from(["a", "b", "c", "d", "été"]))
-            line = draw(SEPARATORS).join([word, *values])
-            line = draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " "]))
-        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
-    limit = draw(st.none() | st.integers(0, len(lines) + 1))
-    return "".join(lines), limit
+                fields[draw(st.integers(0, dim - 1))] = draw(BAD_VALUES)
+            line = draw(WORDS) + "".join(draw(SEPARATORS) + f for f in fields)
+            line = draw(PADDING) + line + draw(PADDING)
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    limit = draw(st.none() | st.integers(-1, len(lines) + 1))
+    # An empty read is left to the checked path, which tells no line from no values.
+    clean = not faulty and rows > 0 and (limit is None or limit > 0)
+    return "".join(lines), limit, clean
 
 
 @settings(max_examples=150, deadline=None)
 @given(text_files())
 def test_reader_equals_list_reference(case):
-    text, limit = case
+    text, limit, clean = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "emb.txt"
         path.write_bytes(text.encode())
-        assert outcome(read_text_embeddings, path, limit) == \
-            outcome(list_reader, path, limit)
+        with mock.patch.object(embeddings, "_read_text_checked",
+                               wraps=_read_text_checked) as checked:
+            got = outcome(read_text_embeddings, path, limit)
+        assert got == outcome(list_reader, path, limit)
+        if clean:
+            checked.assert_not_called()
 
 
 def test_reader_equals_list_reference_on_a_wide_file(tmp_path):
